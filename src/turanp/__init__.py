@@ -19,6 +19,7 @@ from .graphs import (
     ep_value,
     g6_decode,
     g6_encode,
+    graph_from_code,
     join,
 )
 from .families import (

@@ -195,8 +195,6 @@ def cmd_rewrite(args) -> int:
 
 def cmd_oracle(args) -> int:
     pattern = patterns.parse_pattern(args.pattern)
-    threads = args.threads
-    prune = not args.no_prune
     if args.n_range or args.p_range:
         if not (args.n_range and args.p_range):
             print("error: give both --n-range and --p-range", file=sys.stderr)
@@ -204,7 +202,6 @@ def cmd_oracle(args) -> int:
         rows = oracle.verify_range(pattern,
                                    _parse_range(args.n_range, "n"),
                                    _parse_range(args.p_range, "p"),
-                                   threads=threads, prune=prune,
                                    override_cap=args.override_cap)
         if args.out == "csv":
             _emit_csv(rows)
@@ -215,8 +212,7 @@ def cmd_oracle(args) -> int:
     if args.n is None or args.p is None:
         print("error: give --n and --p (or --n-range/--p-range)", file=sys.stderr)
         return 2
-    rep = oracle.max_ep(args.n, pattern, args.p, threads=threads, prune=prune,
-                        override_cap=args.override_cap)
+    rep = oracle.max_ep(args.n, pattern, args.p, override_cap=args.override_cap)
     _emit_json(rep.to_json())
     return 0
 
@@ -316,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--n-range", dest="n_range")
     p.add_argument("--p-range", dest="p_range")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: TURANP_THREADS or 1)")
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--override-cap", action="store_true",
                    help=f"allow n = {oracle.ORACLE_HARD_CAP}")
     add_common(p)

@@ -286,6 +286,24 @@ def canonical_code(g: Graph) -> bytes:
     return bytes(packed)
 
 
+def graph_from_code(code: bytes) -> Graph:
+    """The graph spelled by a ``canonical_code``: vertex j is the j-th
+    vertex of the minimising ordering.  Its bitstring is the same column-
+    major upper triangle that graph6 packs, so ``g6_encode`` of the result
+    is the least graph6 string over all labellings."""
+    n = code[0]
+    bits = int.from_bytes(code[1:], "big")
+    k = 8 * (len(code) - 1)  # bits left to read, most significant first
+    rows = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            k -= 1
+            if bits >> k & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
 # ---------------------------------------------------------------------
 # graph6 interchange
 # ---------------------------------------------------------------------
@@ -338,6 +356,8 @@ def g6_decode(s: str | bytes) -> Graph:
         n = 0
         for c in s[1:4]:
             n = (n << 6) | (ord(c) - 63)
+        if n <= 62:
+            raise Graph6Error(f"long-form size header for n={n} (must be one byte)")
         payload = s[4:]
     else:
         n = ord(s[0]) - 63

@@ -1,43 +1,38 @@
 """Exhaustive ground truth: max e_p over pattern-free graphs on small n.
 
-Search: depth-first over the C(n,2) vertex pairs in a fixed lexicographic
-order, deciding each pair in or out.  The running graph stays pattern-free
-(a pair is included only if no copy appears through it); an excluded pair
-must remain blockable (some completion plus that pair contains the pattern
-through it, otherwise the subtree holds no edge-maximal leaf and is cut);
-and a leaf is kept only if every deferred exclusion is in fact blocked.
-Because e_p strictly grows under edge addition, edge-maximal pattern-free
-graphs carry the maximum, so restricting to them is lossless (checked
-against a full enumeration in the tests).
+Pattern-freeness is hereditary, so the pattern-free isomorphism classes on
+k vertices are exactly the pattern-free one-vertex extensions of the
+classes on k-1 vertices.  The search grows them level by level from the
+empty graph, extending each class by every neighbourhood mask of a new
+vertex and deduplicating by `canonical_code` (orderly generation: Read
+1978; McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
 
-Optional upper-bound pruning bounds the achievable e_p by completing all
-undecided pairs, with the Erdos-Gallai edge cap for path patterns; it can
-only cut strictly sub-maximal subtrees, so results never change.
-Parallelism splits the tree at depth <= 3 into independent tasks with
-task-local bounds and a deterministic merge: reports are identical for
-every worker count.
+Each mask is tested through its highest edge only.  Dropping that edge
+gives a smaller mask of the same class, decided earlier: if it was
+rejected, so is this one, untested; if not, every copy of the pattern uses
+the new edge, and one `AnchoredMatcher.contains_through` call on it
+decides.  The last level needs no deduplication: each extension's e_p is
+compared with the running maximum, and only extensions reaching it get a
+canonical code.  A maximizer is reported by its canonical code and by the
+graph6 string of the graph that code spells, which is the least graph6
+string over its labellings.
+
+Search counters under `meta`: `graphs_visited` counts the extensions
+examined (one per class and mask), `pruned` those rejected because they
+contain the pattern.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .formulas import formula_for_pattern
-from .graphs import Graph, canonical_code, g6_encode
-from .patterns import AnchoredMatcher, ForestPattern, PathPattern, is_free
+from .graphs import Graph, canonical_code, g6_encode, graph_from_code
+from .patterns import AnchoredMatcher, ForestPattern, is_free
 
 ORACLE_CAP = 8
 ORACLE_HARD_CAP = 9
-_SPLIT_DEPTH = 3
-
-
-def default_threads() -> int:
-    env = os.environ.get("TURANP_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -74,143 +69,53 @@ class OracleReport:
 
 
 @dataclass
-class _TaskState:
-    best: int = -1
-    reps: dict[bytes, str] = field(default_factory=dict)
+class _Counts:
     visited: int = 0
     pruned: int = 0
 
 
-class _Search:
-    def __init__(self, n: int, pattern: ForestPattern, p: int, prune: bool):
-        self.n = n
-        self.p = p
-        self.prune = prune
-        self.matcher = AnchoredMatcher(pattern.edge_list())
-        self.edges = [(i, j) for j in range(n) for i in range(j)]
-        self.m = len(self.edges)
-        # fut[idx][v]: incidence mask at v of all pairs with index >= idx
-        fut = [[0] * n]
-        for idx in range(self.m - 1, -1, -1):
-            row = fut[-1].copy()
-            a, b = self.edges[idx]
-            row[a] |= 1 << b
-            row[b] |= 1 << a
-            fut.append(row)
-        fut.reverse()
-        self.fut = fut
-        self.edge_cap = None
-        if isinstance(pattern, PathPattern):
-            self.edge_cap = n * (pattern.ell - 2) // 2
+def _extensions(classes: list[tuple[int, ...]], k: int,
+                matcher: AnchoredMatcher | None,
+                counts: _Counts) -> Iterator[list[int]]:
+    """Rows of every extension of the (k-1)-vertex classes by a new vertex
+    k-1 that stays pattern-free (every extension when matcher is None)."""
+    v = k - 1
+    for base in classes:
+        rejected = bytearray(1 << v)
+        for mask in range(1 << v):
+            counts.visited += 1
+            top = mask.bit_length() - 1
+            rows = [row | (mask >> u & 1) << v for u, row in enumerate(base)]
+            rows.append(mask)
+            if mask and matcher is not None and (
+                    rejected[mask ^ 1 << top]
+                    or matcher.contains_through(k, rows, v, top)):
+                rejected[mask] = 1
+                counts.pruned += 1
+                continue
+            yield rows
 
-    def _upper_bound(self, rows: list[int], idx: int) -> int:
-        fut = self.fut[idx]
-        caps = sorted(((rows[v] | fut[v]).bit_count() for v in range(self.n)),
-                      reverse=True)
-        if self.edge_cap is None:
-            return sum(c ** self.p for c in caps)
-        cur = sum(r.bit_count() for r in rows) // 2
-        total = 2 * min(cur + (self.m - idx), self.edge_cap)
-        ub = 0
-        for c in caps:
-            d = min(c, total)
-            total -= d
-            ub += d ** self.p
-        return ub
 
-    def _leaf(self, rows: list[int], pending: list[tuple[int, int]],
-              st: _TaskState) -> None:
-        for a, b in pending:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-            hit = self.matcher.contains_through(self.n, rows, a, b)
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
-            if not hit:
-                return  # a missing pair stays addable: not edge-maximal
-        val = sum(r.bit_count() ** self.p for r in rows)
-        if val < st.best:
-            return
-        if val > st.best:
-            st.best = val
-            st.reps = {}
-        g = Graph(self.n, tuple(rows))
-        code = canonical_code(g)
-        g6 = g6_encode(g)
-        cur = st.reps.get(code)
-        if cur is None or g6 < cur:
-            st.reps[code] = g6
-
-    def _dfs(self, rows: list[int], idx: int, pending: list[tuple[int, int]],
-             st: _TaskState, stop_depth: int | None,
-             out_tasks: list | None) -> None:
-        st.visited += 1
-        if out_tasks is not None and idx == stop_depth and idx < self.m:
-            out_tasks.append((rows.copy(), idx, pending.copy()))
-            return
-        if self.prune and st.best >= 0 and self._upper_bound(rows, idx) < st.best:
-            st.pruned += 1
-            return
-        if idx == self.m:
-            self._leaf(rows, pending, st)
-            return
-        a, b = self.edges[idx]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-        hit = self.matcher.contains_through(self.n, rows, a, b)
-        if not hit:
-            self._dfs(rows, idx + 1, pending, st, stop_depth, out_tasks)
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-        if hit:
-            # pair permanently blocked: maximality needs no reminder
-            self._dfs(rows, idx + 1, pending, st, stop_depth, out_tasks)
-            return
-        pot = [rows[v] | self.fut[idx + 1][v] for v in range(self.n)]
-        pot[a] |= 1 << b
-        pot[b] |= 1 << a
-        if self.matcher.contains_through(self.n, pot, a, b):
-            pending.append((a, b))
-            self._dfs(rows, idx + 1, pending, st, stop_depth, out_tasks)
-            pending.pop()
-        else:
-            st.pruned += 1  # pair can never be blocked: no maximal leaf below
-
-    def run(self, threads: int) -> tuple[int, dict[bytes, str], int, int]:
-        prefix = _TaskState()
-        tasks: list = []
-        self._dfs([0] * self.n, 0, [], prefix, min(_SPLIT_DEPTH, self.m), tasks)
-
-        def work(task) -> _TaskState:
-            rows, idx, pending = task
-            st = _TaskState()
-            self._dfs(rows, idx, pending, st, None, None)
-            return st
-
-        if threads <= 1:
-            states = [work(t) for t in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                states = list(pool.map(work, tasks))
-        best = prefix.best
-        for st in states:
-            best = max(best, st.best)
-        reps: dict[bytes, str] = {}
-        for st in [prefix] + states:
-            if st.best == best:
-                for code, g6 in st.reps.items():
-                    cur = reps.get(code)
-                    if cur is None or g6 < cur:
-                        reps[code] = g6
-        visited = prefix.visited + sum(st.visited for st in states)
-        pruned = prefix.pruned + sum(st.pruned for st in states)
-        return best, reps, visited, pruned
+def _classes(k: int, matcher: AnchoredMatcher | None,
+             counts: _Counts) -> list[tuple[int, ...]]:
+    """One rows tuple per pattern-free isomorphism class on k vertices."""
+    classes: list[tuple[int, ...]] = [()]
+    for j in range(1, k + 1):
+        seen: dict[bytes, tuple[int, ...]] = {}
+        for rows in _extensions(classes, j, matcher, counts):
+            g = Graph(j, tuple(rows))
+            seen.setdefault(canonical_code(g), g.rows)
+        classes = list(seen.values())
+    return classes
 
 
 def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None,
-           prune: bool = True, override_cap: bool = False) -> OracleReport:
+           override_cap: bool = False) -> OracleReport:
     """Exact maximum of e_p over all pattern-free graphs on n vertices,
-    with all maximizers up to isomorphism."""
+    with all maximizers up to isomorphism.
+
+    ``threads`` is accepted for compatibility and has no effect: it must be
+    None or >= 1, and the search always runs on one thread."""
     cap = ORACLE_HARD_CAP if override_cap else ORACLE_CAP
     if not 2 <= n <= cap:
         raise ValueError(
@@ -218,26 +123,42 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
             f"(hard cap {ORACLE_HARD_CAP} with override), got n={n}")
     if p < 1:
         raise ValueError("need p >= 1")
-    if threads is None:
-        threads = default_threads()
-    search = _Search(n, pattern, p, prune)
-    best, reps, visited, pruned = search.run(threads)
-    maximizers = tuple(sorted((g6, code.hex()) for code, g6 in reps.items()))
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be None or >= 1, got {threads}")
+    counts = _Counts()
+    if pattern.order() > n:
+        # the host cannot hold the pattern: K_n is the unique maximizer
+        full = (1 << n) - 1
+        finals: Iterable[list[int]] = [[full ^ 1 << v for v in range(n)]]
+    else:
+        matcher = AnchoredMatcher(pattern.edge_list())
+        finals = _extensions(_classes(n - 1, matcher, counts), n, matcher, counts)
+    best = -1
+    codes: set[bytes] = set()
+    for rows in finals:
+        val = sum(row.bit_count() ** p for row in rows)
+        if val < best:
+            continue
+        if val > best:
+            best = val
+            codes = set()
+        codes.add(canonical_code(Graph(n, tuple(rows))))
+    maximizers = tuple(sorted((g6_encode(graph_from_code(code)), code.hex())
+                              for code in codes))
     return OracleReport(n, p, pattern.text(), best, maximizers,
-                        len(maximizers) == 1, visited, pruned)
+                        len(maximizers) == 1, counts.visited, counts.pruned)
 
 
-def ex_classical(n: int, pattern: ForestPattern, *, threads: int | None = None,
-                 prune: bool = True, override_cap: bool = False) -> OracleReport:
+def ex_classical(n: int, pattern: ForestPattern, *,
+                 override_cap: bool = False) -> OracleReport:
     """Classical Turan search: same enumeration maximizing the edge count
     (reported max_value is e_1 = twice the edge count)."""
-    return max_ep(n, pattern, 1, threads=threads, prune=prune,
-                  override_cap=override_cap)
+    return max_ep(n, pattern, 1, override_cap=override_cap)
 
 
 def max_ep_exhaustive(n: int, pattern: ForestPattern, p: int) -> int:
     """Maximum e_p over ALL pattern-free labeled graphs, by sheer
-    enumeration (soundness reference for the edge-maximal restriction;
+    enumeration (soundness reference for the isomorph-free search;
     practical only for n <= 6)."""
     pairs = [(i, j) for j in range(n) for i in range(j)]
     best = -1
@@ -250,7 +171,6 @@ def max_ep_exhaustive(n: int, pattern: ForestPattern, p: int) -> int:
 
 
 def verify_range(pattern: ForestPattern, n_range, p_range, *,
-                 threads: int | None = None, prune: bool = True,
                  override_cap: bool = False) -> list[dict]:
     """Oracle truth vs. closed form over a grid: one row per (n, p) with
     the oracle value, the formula value (None where no formula applies),
@@ -259,8 +179,7 @@ def verify_range(pattern: ForestPattern, n_range, p_range, *,
     rows = []
     for n in n_range:
         for p in p_range:
-            rep = max_ep(n, pattern, p, threads=threads, prune=prune,
-                         override_cap=override_cap)
+            rep = max_ep(n, pattern, p, override_cap=override_cap)
             res = formula_for_pattern(pattern, n, p)
             row = {
                 "pattern": pattern.text(),
@@ -288,28 +207,8 @@ def all_graphs(n: int):
                                    if mask >> k & 1])
 
 
-_NONISO_CACHE: dict[int, list[Graph]] = {}
-
-
+@lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class on n vertices, built by
-    extending the (n-1)-vertex classes with every possible neighbourhood
-    and deduplicating by canonical code."""
-    if n in _NONISO_CACHE:
-        return _NONISO_CACHE[n]
-    if n == 0:
-        result = [Graph.empty(0)]
-    else:
-        seen: dict[bytes, Graph] = {}
-        for g in nonisomorphic_graphs(n - 1):
-            for mask in range(1 << (n - 1)):
-                rows = [g.rows[v] | ((mask >> v & 1) << (n - 1))
-                        for v in range(n - 1)]
-                rows.append(mask)
-                h = Graph(n, tuple(rows))
-                code = canonical_code(h)
-                if code not in seen:
-                    seen[code] = h
-        result = list(seen.values())
-    _NONISO_CACHE[n] = result
-    return result
+    """One representative per isomorphism class on n vertices: the
+    oracle's extension loop with no pattern."""
+    return [Graph(n, rows) for rows in _classes(n, None, _Counts())]

@@ -26,7 +26,6 @@ DEFAULT_CONFIG = {
     "consistency.big_n": [200, 500],
     "freeness.n_max": 18,
     "oracle.n_max": 6,
-    "oracle.threads": 0,
     "lemmas.span": 12,
     "rewrites.per_kind": 10,
     "oracle.override": 0,
@@ -43,6 +42,13 @@ class CheckResult:
 
     def to_json(self) -> dict:
         return {"check": self.check, "pass": self.passed, "detail": self.detail}
+
+
+def _result(check: str, instances: int, bad: list[str], what: str) -> CheckResult:
+    """A check passes only if it ran at least one instance and none failed."""
+    detail = (f"{instances} instances, {len(bad)} {what}"
+              + (f"; first: {bad[0]}" if bad else ""))
+    return CheckResult(check, instances > 0 and not bad, detail)
 
 
 class ConfigError(ValueError):
@@ -128,8 +134,11 @@ def check_consistency(cfg: dict) -> CheckResult:
     p_max = cfg["consistency.p_max"]
     big_n = cfg["consistency.big_n"]
     bad: list[str] = []
+    ran = 0
 
     def expect(label: str, got: int, want: int) -> None:
+        nonlocal ran
+        ran += 1
         if got != want:
             bad.append(f"{label}: formula {got} != construction {want}")
 
@@ -228,15 +237,17 @@ def check_consistency(cfg: dict) -> CheckResult:
             if isinstance(res, formulas.FormulaResult):
                 g = families.clique_union(res.meta["a"], s + 4, res.meta["b"])
                 expect(f"ex_broom5({n},{s})", res.value, g.edge_count())
-    detail = f"{len(bad)} mismatches" + (f"; first: {bad[0]}" if bad else "")
-    return CheckResult("consistency", not bad, detail)
+    return _result("consistency", ran, bad, "mismatches")
 
 
 def check_freeness(cfg: dict) -> CheckResult:
     n_max = cfg["freeness.n_max"]
     bad: list[str] = []
+    ran = 0
 
     def certify(label: str, g, pattern) -> None:
+        nonlocal ran
+        ran += 1
         res = patterns.is_free(g, pattern)
         if res is not True:
             bad.append(f"{label}: expected free, got {res!r}")
@@ -271,64 +282,67 @@ def check_freeness(cfg: dict) -> CheckResult:
             else:
                 certify(f"H({n},5) vs B(5,0)", families.h_path(n, 5),
                         patterns.BroomPattern(5, 0))
-    detail = f"{len(bad)} failures" + (f"; first: {bad[0]}" if bad else "")
-    return CheckResult("freeness", not bad, detail)
+    return _result("freeness", ran, bad, "failures")
 
 
 def check_oracle(cfg: dict) -> CheckResult:
     n_max = cfg["oracle.n_max"]
-    threads = cfg["oracle.threads"] or None
     override = bool(cfg["oracle.override"])
     bad: list[str] = []
+    ran = 0
     for n in range(2, n_max + 1):
         for p in (2, 3):
-            rep = oracle.max_ep(n, patterns.PathPattern(3), p,
-                                threads=threads, override_cap=override)
+            ran += 1
+            rep = oracle.max_ep(n, patterns.PathPattern(3), p, override_cap=override)
             want = n - 1 if n % 2 == 1 else n
             if rep.max_value != want or not rep.unique:
                 bad.append(f"P_3 n={n} p={p}: {rep.max_value} (want {want}), "
                            f"unique={rep.unique}")
     for n in range(5, n_max + 1):
+        ran += 1
         rep = oracle.max_ep(n, patterns.StarForestPattern((1, 1)), 2,
-                            threads=threads, override_cap=override)
+                            override_cap=override)
         want = (n - 1) ** 2 + (n - 1)
         if rep.max_value != want or not rep.unique:
             bad.append(f"2S_1 n={n}: {rep.max_value} (want {want}), "
                        f"unique={rep.unique}")
     for ell in range(2, 7):
         for n in range(2, n_max + 1):
+            ran += 1
             rep = oracle.ex_classical(n, patterns.PathPattern(ell),
-                                      threads=threads, override_cap=override)
+                                      override_cap=override)
             want = formulas.ex_path(n, ell).value
             if rep.edges != want:
                 bad.append(f"P_{ell} n={n}: {rep.edges} edges (want {want})")
     for n in range(5, n_max + 1):
+        ran += 1
         rep = oracle.ex_classical(n, patterns.LinearForestPattern((2, 2)),
-                                  threads=threads, override_cap=override)
+                                  override_cap=override)
         want = formulas.ex_linear_forest(n, [2, 2]).value
         if rep.edges != want:
             bad.append(f"2P_2 n={n}: {rep.edges} edges (want {want})")
-    detail = f"{len(bad)} disagreements" + (f"; first: {bad[0]}" if bad else "")
-    return CheckResult("oracle", not bad, detail)
+    return _result("oracle", ran, bad, "disagreements")
 
 
 def check_lemmas(cfg: dict) -> CheckResult:
     span = cfg["lemmas.span"]
     bad: list[str] = []
+    ran = 0
     for ell in (5, 6, 7):
         variants = ("a", "b") if ell == 5 else ("b",)
         for variant in variants:
             for n1 in range(ell, ell + span + 1):
                 for n2 in range(ell, ell + span + 1):
                     for p in (2, 3):
+                        ran += 1
                         if not formulas.lemma_superadd_check(ell, n1, n2, p, variant):
                             bad.append(f"superadd({ell},{n1},{n2},{p},{variant})")
     for case in absorb_grid(50):
+        ran += 1
         ell, s, h, hstar, d, p, variant = case
         if not formulas.lemma_absorb_check(ell, s, h, hstar, d, p, variant):
             bad.append(f"absorb{case}")
-    detail = f"{len(bad)} failed instances" + (f"; first: {bad[0]}" if bad else "")
-    return CheckResult("lemmas", not bad, detail)
+    return _result("lemmas", ran, bad, "failed instances")
 
 
 def absorb_grid(count: int) -> list[tuple]:
@@ -358,6 +372,7 @@ def absorb_grid(count: int) -> list[tuple]:
 def check_rewrites(cfg: dict) -> CheckResult:
     per_kind = cfg["rewrites.per_kind"]
     bad: list[str] = []
+    ran = 0
     kind_ell = {"edge": 5, "triangle": 6, "diamond": 7,
                 "spindle": 7, "spindle_plus": 7}
     for kind in rewrites.KINDS:
@@ -366,6 +381,7 @@ def check_rewrites(cfg: dict) -> CheckResult:
             ell = kind_ell[kind]
             s = i % 3
             g, v, site = rewrites.demo_instance(kind, ell, s, rng)
+            ran += 1
             try:
                 g2 = rewrites.apply_rewrite(g, v, site, ell, s)
             except rewrites.SiteError as exc:
@@ -381,8 +397,7 @@ def check_rewrites(cfg: dict) -> CheckResult:
             pat = patterns.BroomPattern(ell, s)
             if patterns.is_free(g, pat) is True and patterns.is_free(g2, pat) is not True:
                 bad.append(f"{kind}#{i}: broom-freeness lost")
-    detail = f"{len(bad)} failures" + (f"; first: {bad[0]}" if bad else "")
-    return CheckResult("rewrites", not bad, detail)
+    return _result("rewrites", ran, bad, "failures")
 
 
 def check_e4(cfg: dict) -> CheckResult:
@@ -395,8 +410,8 @@ def check_e4(cfg: dict) -> CheckResult:
     small_turan = ep_value(families.turan_graph(20, 2), 4)
     ok = (lhs == 625_499_700 == val and turan == 625_000_000 and lhs > turan
           and small > small_turan)
-    return CheckResult("e4", ok,
-                       f"unbalanced e_4 = {lhs}, Turan graph e_4 = {turan}")
+    return CheckResult("e4", ok, f"2 instances, unbalanced e_4 = {lhs}, "
+                                 f"Turan graph e_4 = {turan}")
 
 
 _CHECKS = {

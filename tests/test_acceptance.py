@@ -5,7 +5,9 @@ boolean certificate.  Formula values at n beyond the vertex cap are
 cross-checked against an independent summation over each construction's
 degree multiset, written out locally in this module.
 """
+import json
 import random
+from pathlib import Path
 
 from turanp import families, formulas, oracle, patterns, rewrites, verify
 from turanp.graphs import (
@@ -517,19 +519,29 @@ def test_criterion_7c_g6_roundtrip_exhaustive():
               "n <= 7", bad)
 
 
+GOLDEN_ORACLE = Path(__file__).with_name("oracle_golden.json")
+
+
 def test_criterion_7d_oracle_determinism():
     bad = []
-    base = oracle.max_ep(7, patterns.PathPattern(4), 2, threads=1)
-    for threads in (4, 8):
-        rep = oracle.max_ep(7, patterns.PathPattern(4), 2, threads=threads)
-        if rep != base:
-            bad.append(f"threads={threads} report differs")
-    noprune = oracle.max_ep(7, patterns.PathPattern(4), 2, threads=1, prune=False)
-    if (noprune.max_value, noprune.maximizers, noprune.unique) != (
-            base.max_value, base.maximizers, base.unique):
-        bad.append("no-prune results differ")
-    rerun = oracle.max_ep(7, patterns.PathPattern(4), 2, threads=1)
-    if rerun != base:
+    golden = json.loads(GOLDEN_ORACLE.read_text())["entries"]
+    keys = set()
+    for n in range(2, 9):
+        for pat in BATTERY:
+            for p in (1, 2, 3):
+                key = f"{pat.text()}|n={n}|p={p}"
+                keys.add(key)
+                rep = oracle.max_ep(n, pat, p)
+                got = {"max_value": rep.max_value,
+                       "maximizers": [g6 for g6, _ in rep.maximizers],
+                       "unique": rep.unique}
+                if got != golden.get(key):
+                    bad.append(f"{key}: {got} != golden {golden.get(key)}")
+    if keys != set(golden):
+        bad.append(f"golden table keys differ from the battery grid: "
+                   f"{sorted(keys ^ set(golden))[:3]}")
+    base = oracle.max_ep(7, patterns.PathPattern(4), 2)
+    if oracle.max_ep(7, patterns.PathPattern(4), 2) != base:
         bad.append("rerun differs")
-    report(7, "criterion 7d: oracle determinism across 1/4/8 threads, "
-              "with/without pruning, across runs", bad)
+    report(7, "criterion 7d: oracle equals the frozen golden table on the 7b "
+              "battery (n <= 8, p <= 3) and reruns identically", bad)

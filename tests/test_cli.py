@@ -94,6 +94,13 @@ def test_oracle_range_csv(capsys):
     assert lines[0].startswith("pattern,n,p,oracle,formula,agree")
 
 
+def test_oracle_removed_flags_are_usage_errors(capsys):
+    for flag in (["--threads", "2"], ["--no-prune"]):
+        code, _, _ = run(capsys, "oracle", "--pattern", "path:3", "--n", "5",
+                         "--p", "2", *flag)
+        assert code == 2
+
+
 def test_oracle_roundtrips_graph6(capsys):
     code, out, _ = run(capsys, "oracle", "--pattern", "path:3",
                        "--n", "5", "--p", "2")
@@ -145,6 +152,17 @@ def test_verify_config_cap_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 1
     assert "8" in err  # message names the cap
+
+
+def test_verify_empty_check_fails(tmp_path, capsys):
+    # oracle.n_max = 1 leaves the oracle check with nothing to run
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("oracle.n_max = 1\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--only", "oracle")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["pass"] is False and obj["detail"].startswith("0 instances")
+    assert set(obj) == {"check", "pass", "detail"}
 
 
 def test_verify_unknown_config_key(tmp_path, capsys):

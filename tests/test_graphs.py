@@ -1,4 +1,5 @@
 """Graph core: degree powers, dominance, union/join, canonical codes, graph6."""
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from turanp.graphs import (
     ep_value,
     g6_decode,
     g6_encode,
+    graph_from_code,
     iter_bits,
     join,
 )
@@ -167,6 +169,23 @@ def test_canonical_separates_nonisomorphic():
     assert len(codes) == 3
 
 
+def test_canonical_code_spells_least_g6():
+    # the code is the minimal graph6 bitstring: every labelled graph's
+    # code spells the least g6_encode over all relabellings of it
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        least: dict[str, str] = {}  # g6 of a labelling -> least g6 of its class
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
+                                     if mask >> k & 1])
+            if g6_encode(g) not in least:
+                orbit = {g6_encode(Graph.from_edges(n, [(perm[u], perm[v])
+                                                        for u, v in g.edges()]))
+                         for perm in itertools.permutations(range(n))}
+                least.update(dict.fromkeys(orbit, min(orbit)))
+            assert g6_encode(graph_from_code(canonical_code(g))) == least[g6_encode(g)]
+
+
 def test_canonical_cap():
     with pytest.raises(ValueError):
         canonical_code(empty_graph(11))
@@ -193,6 +212,15 @@ def test_g6_long_form():
 @given(graphs())
 def test_g6_roundtrip_random(g):
     assert g6_decode(g6_encode(g)) == g
+
+
+def test_g6_long_form_header_is_strict():
+    with pytest.raises(Graph6Error):
+        g6_decode("~??C?")  # n=4 must use the one-byte header "C"
+    with pytest.raises(Graph6Error):
+        g6_decode("~?" + chr(63) + chr(63 + 62) + "?" * 316)  # n=62
+    s = g6_encode(empty_graph(63))
+    assert s.startswith("~??~") and g6_decode(s) == empty_graph(63)
 
 
 def test_g6_errors():
