@@ -400,22 +400,17 @@ def lemma_absorb_check(ell: int, s: int, h: int, hstar: int, d: int, p: int,
 # pattern -> formula dispatch (oracle comparisons)
 # ---------------------------------------------------------------------
 
-def formula_for_pattern(pattern: ForestPattern, n: int, p: int) -> FormulaResult | None:
-    """Best matching closed form for max e_p over pattern-free graphs on n
-    vertices (p = 1 routes to twice the classical Turan number).  Returns
-    None where no closed form applies."""
-    try:
-        return _formula_for(pattern, n, p)
-    except ValueError:
-        return None
-
-
 def _double(res: FormulaResult) -> FormulaResult:
     return FormulaResult(2 * res.value, res.in_window, res.window, res.source,
                          dict(res.meta, doubled="ex_1 = 2 ex"))
 
 
-def _formula_for(pattern: ForestPattern, n: int, p: int) -> FormulaResult | None:
+def formula_for_pattern(pattern: ForestPattern, n: int, p: int) -> FormulaResult | None:
+    """Best matching closed form for max e_p over pattern-free graphs on n
+    vertices (p = 1 routes to twice the classical Turan number).  Returns
+    None where no closed form applies, including n below the range of the
+    B_{4,s}, B_{5,s} (n >= ell+s) and kP_3 (n >= k) results; a ValueError
+    from an evaluator is a bug, not "no formula"."""
     if isinstance(pattern, PathPattern):
         if p == 1 and pattern.ell >= 4:
             return _double(ex_path(n, pattern.ell))
@@ -431,20 +426,24 @@ def _formula_for(pattern: ForestPattern, n: int, p: int) -> FormulaResult | None
     if isinstance(pattern, LinearForestPattern):
         lengths = pattern.lengths
         if len(lengths) == 1:
-            return _formula_for(PathPattern(lengths[0]), n, p)
+            return formula_for_pattern(PathPattern(lengths[0]), n, p)
         if all(l == 3 for l in lengths):
             k = len(lengths)
-            return _double(ex_kP3(n, k)) if p == 1 else exp_kP3(n, k, p)
+            if p == 1:
+                return _double(ex_kP3(n, k))
+            return exp_kP3(n, k, p) if n >= k else None
         if p == 1:
             return _double(ex_linear_forest(n, lengths))
         return exp_linear_forest(n, lengths, p)
     if isinstance(pattern, BroomPattern):
         ell, s = pattern.ell, pattern.s
         if s == 0:
-            return _formula_for(PathPattern(ell), n, p)
+            return formula_for_pattern(PathPattern(ell), n, p)
         if ell not in (4, 5, 6, 7):
             return None
         if p == 1:
+            if n < ell + s:
+                return None
             if ell == 4:
                 return _double(ex_broom4(n, s))
             if ell == 5:

@@ -11,6 +11,20 @@ each twin class can be capped at the pattern order without changing the
 answer.  This makes freeness checks on the dense extremal constructions
 (huge twin classes) cheap.  The generic edge-list detector deliberately
 skips this preprocessing so the two routes stay independent.
+
+The linear- and star-forest searches also break the symmetry that the
+remaining twin classes leave.  Swapping two twins is an automorphism of
+the host, and so is any permutation of the still-unused vertices of one
+class, so an embedding can be relabelled, part by part in search order,
+until every class is used lowest index first; the searches therefore take
+a vertex only when none of its lower-numbered twins is still free (for
+stars: a centre only when its lower twins are all centres already, which
+leaves the largest stars on the lowest twins).  Relabelling a path keeps
+its vertex set, and of the two orientations of a relabelled path at
+least one ends above its start, so the one-orientation rule survives.
+Once each path is fixed by its vertex set, the rest of the search depends
+only on (component index, available vertices); failed states are
+memoized, which also makes the ordering of equal-length paths redundant.
 """
 from __future__ import annotations
 
@@ -212,29 +226,27 @@ def parse_pattern(text: str) -> ForestPattern:
 # twin reduction
 # ---------------------------------------------------------------------
 
-def _collapse_twins(g: Graph, cap: int) -> Graph:
-    """Cap every twin class (open, then closed) at ``cap`` vertices.
+def _collapse_twins(g: Graph, cap: int) -> tuple[Graph, list[int]]:
+    """Cap every twin class (open or closed) at ``cap`` vertices, and
+    return the result with lower[v], the mask of v's lower-numbered twins.
 
     A pattern copy uses at most `cap` = pattern-order host vertices, and
-    twins are interchangeable, so keeping min(class size, cap) per class
-    preserves containment exactly."""
+    twins are interchangeable, so keeping the lowest min(class size, cap)
+    of every class preserves containment exactly.  A vertex with an open
+    twin has no closed twin, so the two kinds of class never mix."""
     while True:
-        changed = False
+        lower = [0] * g.n
         for closed in (False, True):
-            groups: dict[int, list[int]] = {}
+            seen: dict[int, int] = {}
             for v in range(g.n):
                 key = g.rows[v] | (1 << v if closed else 0)
-                groups.setdefault(key, []).append(v)
-            keep = []
-            for v in range(g.n):
-                key = g.rows[v] | (1 << v if closed else 0)
-                if v in groups[key][:cap]:
-                    keep.append(v)
-            if len(keep) < g.n:
-                g = g.induced(keep)
-                changed = True
-        if not changed:
-            return g
+                below = seen.get(key, 0)
+                lower[v] |= below
+                seen[key] = below | 1 << v
+        keep = [v for v in range(g.n) if lower[v].bit_count() < cap]
+        if len(keep) == g.n:
+            return g, lower
+        g = g.induced(keep)
 
 
 # ---------------------------------------------------------------------
@@ -247,7 +259,7 @@ def contains_path(g: Graph, ell: int, budget: int | None = None):
         raise ValueError("ell must be >= 2")
     bud = _Budget(budget)
     try:
-        return _path_exists(_collapse_twins(g, ell), ell, bud)
+        return _path_exists(_collapse_twins(g, ell)[0], ell, bud)
     except _OutOfBudget:
         return UNKNOWN
 
@@ -284,40 +296,49 @@ def contains_linear_forest(g: Graph, lengths, budget: int | None = None):
     if not lengths or any(l < 2 for l in lengths):
         raise ValueError("path orders must all be >= 2")
     bud = _Budget(budget)
-    g = _collapse_twins(g, sum(lengths))
+    g, lower = _collapse_twins(g, sum(lengths))
     if g.n < sum(lengths):
         return False
     rows = g.rows
     full = (1 << g.n) - 1
+    failed: set[tuple[int, int]] = set()
 
-    def paths_of(order: int, avail: int, min_low: int):
+    def paths_of(order: int, avail: int):
         # lazily yield vertex masks of simple paths on `order` vertices
-        # inside `avail` whose lowest vertex exceeds `min_low` (dedup for
-        # equal lengths); orientations deduped via start < end.
+        # inside `avail`, each vertex taken only after its free lower
+        # twins; orientations deduped via start < end.
         def extend(v: int, mask: int, depth: int, start: int):
             bud.spend()
             if depth == order:
-                if v > start and (mask & -mask).bit_length() - 1 > min_low:
+                if v > start:
                     yield mask
                 return
-            for w in iter_bits(rows[v] & avail & ~mask):
-                yield from extend(w, mask | 1 << w, depth + 1, start)
+            free = avail & ~mask
+            for w in iter_bits(rows[v] & free):
+                if not lower[w] & free:
+                    yield from extend(w, mask | 1 << w, depth + 1, start)
 
         for v in iter_bits(avail):
-            yield from extend(v, 1 << v, 1, v)
+            if not lower[v] & avail:
+                yield from extend(v, 1 << v, 1, v)
 
-    def place(i: int, avail: int, prev_low: int) -> bool:
+    def place(i: int, avail: int) -> bool:
         if i == len(lengths):
             return True
-        min_low = prev_low if i > 0 and lengths[i] == lengths[i - 1] else -1
-        for mask in paths_of(lengths[i], avail, min_low):
-            low = (mask & -mask).bit_length() - 1
-            if place(i + 1, avail & ~mask, low):
+        if (i, avail) in failed:
+            return False
+        tried = set()
+        for mask in paths_of(lengths[i], avail):
+            if mask in tried:
+                continue
+            tried.add(mask)
+            if place(i + 1, avail & ~mask):
                 return True
+        failed.add((i, avail))
         return False
 
     try:
-        return place(0, full, -1)
+        return place(0, full)
     except _OutOfBudget:
         return UNKNOWN
 
@@ -331,7 +352,7 @@ def contains_star_forest(g: Graph, degrees, budget: int | None = None):
     if not degrees or any(r < 1 for r in degrees):
         raise ValueError("star degrees must all be >= 1")
     bud = _Budget(budget)
-    g = _collapse_twins(g, sum(degrees) + len(degrees))
+    g, lower = _collapse_twins(g, sum(degrees) + len(degrees))
     if g.n < sum(degrees) + len(degrees):
         return False
     rows = g.rows
@@ -364,6 +385,8 @@ def contains_star_forest(g: Graph, degrees, budget: int | None = None):
         for c in order:
             bud.spend()
             if center_mask >> c & 1 or degs[c] < degrees[i]:
+                continue
+            if lower[c] & ~center_mask:
                 continue
             if i > 0 and degrees[i] == degrees[i - 1] and c < centers[-1]:
                 continue
@@ -402,7 +425,7 @@ def contains_broom(g: Graph, ell: int, s: int, budget: int | None = None):
     if ell < 4 or s < 0:
         raise ValueError("broom needs ell >= 4, s >= 0")
     bud = _Budget(budget)
-    g = _collapse_twins(g, ell + s)
+    g, _ = _collapse_twins(g, ell + s)
     if g.n < ell + s:
         return False
     rows = g.rows

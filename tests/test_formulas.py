@@ -34,7 +34,7 @@ from turanp.formulas import (
     lemma_superadd_check,
 )
 from turanp.graphs import ep_value
-from turanp.patterns import BroomPattern, LinearForestPattern, PathPattern
+from turanp.patterns import BroomPattern, LinearForestPattern, PathPattern, parse_pattern
 
 
 # ---------------------------------------------------------------------
@@ -284,3 +284,27 @@ def test_formula_for_pattern():
     # classical broom formula out of domain -> no formula
     assert formula_for_pattern(BroomPattern(4, 2), 5, 1) is None
     assert isinstance(formula_for_pattern(PathPattern(4), 9, 2), FormulaResult)
+
+
+def test_formula_for_pattern_grid_never_raises():
+    texts = ([f"path:{l}" for l in range(2, 8)] + [f"star:{r}" for r in range(1, 5)]
+             + ["stars:2", "stars:1,1", "stars:2,1", "stars:2,2,2,2", "stars:3,3,3",
+                "linear:3", "linear:2,2", "linear:3,2", "linear:3,3", "linear:3,3,3",
+                "linear:4,4,4", "linear:5,5,5", "linear:3,3,2,2"]
+             + [f"broom:{l},{s}" for l in range(4, 9) for s in range(4)])
+    nones = set()
+    for text in texts:
+        pat = parse_pattern(text)
+        for n in range(40):
+            for p in range(1, 5):
+                res = formula_for_pattern(pat, n, p)
+                assert res is None or isinstance(res, FormulaResult), (text, n, p)
+                if res is None:
+                    nones.add((text, n, p))
+    # below the ranges of the B_{4,s}, B_{5,s} and kP_3 results
+    assert ("broom:4,2", 5, 1) in nones and ("broom:4,2", 6, 1) not in nones
+    assert ("broom:5,3", 7, 1) in nones and ("broom:5,3", 11, 1) not in nones
+    assert ("linear:3,3,3", 2, 2) in nones and ("linear:3,3,3", 3, 2) not in nones
+    # an evaluator's ValueError is no longer read as "no formula"
+    with pytest.raises(ValueError):
+        formula_for_pattern(PathPattern(4), 9, 0)

@@ -240,3 +240,56 @@ def test_anchored_matcher_agrees_with_generic():
                 assert through
             if whole is False:
                 assert not through
+
+
+# ---------------------------------------------------------------------
+# twin classes: symmetry breaking must stay exact and must finish
+# ---------------------------------------------------------------------
+
+def blow_up(rng, planted=None):
+    """A random 4-6 vertex graph with each vertex replaced by an open
+    (independent) or closed (clique) twin class of 1-3 vertices, plus
+    optionally a copy of `planted` on random vertices, under a random
+    labelling."""
+    base = random_graph(rng, rng.randint(4, 6), rng.choice([0.3, 0.5, 0.7]))
+    classes, n = [], 0
+    for _ in range(base.n):
+        size = rng.randint(1, 3)
+        classes.append(range(n, n + size))
+        n += size
+    edges = set()
+    for x in range(base.n):
+        if rng.random() < 0.5:
+            edges |= {(u, v) for u in classes[x] for v in classes[x] if u < v}
+        for y in range(x):
+            if base.has_edge(x, y):
+                edges |= {(u, v) for u in classes[y] for v in classes[x]}
+    if planted is not None and planted.order() <= n:
+        spots = rng.sample(range(n), planted.order())
+        edges |= {tuple(sorted((spots[u], spots[v]))) for u, v in planted.edge_list()}
+    perm = rng.sample(range(n), n)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_detectors_match_generic_on_twin_rich_hosts():
+    rng = random.Random(41)
+    pats = [parse_pattern(t) for t in (
+        "linear:2,2,2", "linear:3,3", "linear:3,3,2", "linear:4,4",
+        "stars:2,2,2", "stars:3,3", "stars:2,2,1")]
+    seen = set()
+    for trial in range(700):
+        pat = pats[trial % len(pats)]
+        g = blow_up(rng, pat if trial % 2 else None)
+        want = contains_forest_generic(g, pat.edge_list())
+        assert contains(g, pat) == want, f"g={list(g.edges())}, pat={pat.text()}"
+        seen.add((pat, want))
+    assert len(seen) == 2 * len(pats)  # every pattern met both answers
+
+
+def test_extremal_hosts_certify_within_budget():
+    cases = [(text, n, h_linear_forest(n, list(parse_pattern(text).lengths)))
+             for text in ("linear:4,4,4", "linear:5,5,5", "linear:3,3,2,2")
+             for n in range(parse_pattern(text).order(), 65)]
+    cases += [("stars:2,2,2,2", n, g_star_join(n, 4, 2)) for n in range(12, 30)]
+    for text, n, host in cases:
+        assert is_free(host, parse_pattern(text), budget=100_000) is True, f"{text} at n={n}"
