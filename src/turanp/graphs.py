@@ -59,6 +59,16 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency at ({v}, {w})")
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """Wrap rows already known to form a valid graph, skipping the
+        O(n^2) symmetry check of ``__post_init__``.  Internal only: every
+        caller must build its rows from a valid graph."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
     @staticmethod
     def empty(n: int) -> "Graph":
         return Graph(n, (0,) * n)
@@ -118,13 +128,15 @@ class Graph:
         """Induced subgraph on ``keep``, relabelled 0..len(keep)-1 in order."""
         keep = list(keep)
         pos = {v: i for i, v in enumerate(keep)}
+        if len(pos) != len(keep) or not all(0 <= v < self.n for v in keep):
+            raise ValueError(f"induced: {keep} is not a list of distinct vertices")
         rows = [0] * len(keep)
         for i, v in enumerate(keep):
             for w in iter_bits(self.rows[v]):
                 j = pos.get(w)
                 if j is not None:
                     rows[i] |= 1 << j
-        return Graph(len(keep), tuple(rows))
+        return Graph._trusted(len(keep), tuple(rows))
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, ordered by least vertex."""
@@ -217,12 +229,22 @@ def join(g: Graph, h: Graph) -> Graph:
 def canonical_code(g: Graph) -> bytes:
     """Canonical byte string: code(G) == code(H) iff G and H are isomorphic.
 
-    Minimal adjacency bitstring over all vertex orderings (upper triangle,
-    column-major), found by branch-and-bound: orderings are grown one
-    vertex at a time, branches whose partial bitstring already exceeds the
-    best known full code are cut, and interchangeable twin candidates are
-    expanded only once per search node.  Intended for the oracle range;
-    capped at CANON_CAP vertices.
+    The code is the least adjacency bitstring over all vertex orderings
+    (upper triangle, column-major), which is also the least graph6 string
+    of the class.  Column j of an ordering is the word of the j-th placed
+    vertex: its adjacency to the vertices placed before it, the first
+    placed vertex being the most significant bit.
+
+    Branch-and-bound over orderings grown one vertex at a time.  A search
+    node keeps each unplaced vertex's word; placing u extends every word by
+    one bit (its adjacency to u).  The node's next code word is the least
+    word, and only vertices holding it are branched on, because any other
+    choice makes the code larger at this column.  Among those, open and
+    closed twins with respect to the unplaced vertices are interchangeable,
+    so one per twin class is placed.  A node is ``tight`` while its code
+    prefix equals the best code's; a tight node whose least word exceeds
+    the best code's word at that column is cut.  Intended for the oracle
+    range; capped at CANON_CAP vertices.
     """
     n = g.n
     if n > CANON_CAP:
@@ -230,60 +252,57 @@ def canonical_code(g: Graph) -> bytes:
     if n <= 1:
         return bytes([n])
     rows = g.rows
-    best: list[int] | None = None  # per-level appended bit words
-    path: list[int] = []
-    placed: list[int] = []
+    # bits[u][v]: the bit that placing u appends to v's word.  bits[u][u]
+    # is `placed`, which lifts u's word above every unplaced vertex's word
+    # (those stay below 2**(n-1)), so min() and the candidate scan skip it.
+    placed = 1 << n
+    bits = [tuple(placed if v == u else rows[u] >> v & 1 for v in range(n))
+            for u in range(n)]
+    path = [0] * n  # code word per column on the current ordering
+    best: list[int] = []
 
-    def compressed(row: int) -> int:
-        # bits of `row` at the placed vertices, placement order, MSB first
-        word = 0
-        for pv in placed:
-            word = (word << 1) | (row >> pv & 1)
-        return word
-
-    def rec(placed_mask: int) -> None:
+    def rec(depth: int, rest: int, words: list[int], tight: bool) -> None:
         nonlocal best
-        depth = len(placed)
-        if depth == n:
-            if best is None or path < best:
+        m = min(words)
+        if tight:
+            if m > best[depth]:
+                return
+            tight = m == best[depth]
+        path[depth] = m
+        if depth == n - 1:
+            if not tight:
                 best = path.copy()
             return
-        rest = ~placed_mask & ((1 << n) - 1)
-        cands = []
-        seen_open: set[tuple[int, int]] = set()
-        seen_closed: set[tuple[int, int]] = set()
-        for u in iter_bits(rest):
-            to_placed = rows[u] & placed_mask
-            open_key = (to_placed, rows[u] & rest)
-            closed_key = (to_placed, (rows[u] | 1 << u) & rest)
-            twin = open_key in seen_open or closed_key in seen_closed
+        if words.count(m) == 1:  # one candidate, no twins to skip
+            u = words.index(m)
+            rec(depth + 1, rest ^ 1 << u,
+                [x << 1 | b for x, b in zip(words, bits[u])], tight)
+            return
+        # the candidates share the word m, so they agree on the placed
+        # vertices and twin keys need only their unplaced neighbours
+        seen_open: set[int] = set()
+        seen_closed: set[int] = set()
+        for u, w in enumerate(words):
+            if w != m:
+                continue
+            open_key = rows[u] & rest
+            closed_key = open_key | 1 << u
+            if open_key in seen_open or closed_key in seen_closed:
+                continue  # interchangeable with an earlier candidate
             seen_open.add(open_key)
             seen_closed.add(closed_key)
-            if twin:
-                continue  # interchangeable with an earlier candidate
-            cands.append((compressed(rows[u]), u))
-        cands.sort()
-        for word, u in cands:
-            path.append(word)
-            if best is None or path[: depth + 1] <= best[: depth + 1]:
-                placed.append(u)
-                rec(placed_mask | 1 << u)
-                placed.pop()
-            path.pop()
+            rec(depth + 1, rest ^ 1 << u,
+                [x << 1 | b for x, b in zip(words, bits[u])], tight)
+            # the subtree just searched ends at the best code's prefix
+            tight = True
 
-    rec(0)
-    assert best is not None
-    bits: list[int] = []
-    for level, word in enumerate(best):
-        bits.extend((word >> (level - i) & 1) for i in range(1, level + 1))
-    packed = bytearray([n])
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = (byte << 1) | b
-        byte <<= 8 - len(bits[i : i + 8])
-        packed.append(byte)
-    return bytes(packed)
+    rec(0, (1 << n) - 1, [0] * n, False)
+    code = 0
+    for column, word in enumerate(best):
+        code = code << column | word
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 7) // 8
+    return bytes([n]) + (code << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
 
 
 def graph_from_code(code: bytes) -> Graph:

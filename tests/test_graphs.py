@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turanp.graphs import (
+    CANON_CAP,
     Graph,
     Graph6Error,
     GraphCapError,
@@ -53,8 +54,27 @@ def test_validation_rejects_bad_rows():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(ValueError):
         Graph(1, (0b1,))  # loop
+    with pytest.raises(ValueError):
+        Graph(2, (0b110, 0b001))  # bit beyond the vertex range
     with pytest.raises(GraphCapError):
         Graph.empty(65)
+
+
+def test_induced_matches_from_edges():
+    # induced builds its rows without re-validating them; they must equal
+    # the validated construction from the induced edge list
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randint(0, 16)
+        g = random_graph(rng, n, rng.random())
+        keep = rng.sample(range(n), rng.randint(0, n))
+        pos = {v: i for i, v in enumerate(keep)}
+        edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+        assert g.induced(keep) == Graph.from_edges(len(keep), edges)
+    g = path_graph(4)
+    for keep in ([0, 1, 0], [0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            g.induced(keep)
 
 
 def test_iter_bits():
@@ -184,6 +204,94 @@ def test_canonical_code_spells_least_g6():
                          for perm in itertools.permutations(range(n))}
                 least.update(dict.fromkeys(orbit, min(orbit)))
             assert g6_encode(graph_from_code(canonical_code(g))) == least[g6_encode(g)]
+
+
+# An independent branch-and-bound for the same code: it rebuilds every
+# candidate's word at each node, sorts the non-twin candidates and compares
+# list prefixes.  test_canonical_code_matches_reference checks
+# canonical_code against it byte for byte above n = 5.
+def _reference_canonical_code(g: Graph) -> bytes:
+    """Canonical byte string: code(G) == code(H) iff G and H are isomorphic.
+
+    Minimal adjacency bitstring over all vertex orderings (upper triangle,
+    column-major), found by branch-and-bound: orderings are grown one
+    vertex at a time, branches whose partial bitstring already exceeds the
+    best known full code are cut, and interchangeable twin candidates are
+    expanded only once per search node.  Intended for the oracle range;
+    capped at CANON_CAP vertices.
+    """
+    n = g.n
+    if n > CANON_CAP:
+        raise ValueError(f"canonical_code capped at {CANON_CAP} vertices (got {n})")
+    if n <= 1:
+        return bytes([n])
+    rows = g.rows
+    best: list[int] | None = None  # per-level appended bit words
+    path: list[int] = []
+    placed: list[int] = []
+
+    def compressed(row: int) -> int:
+        # bits of `row` at the placed vertices, placement order, MSB first
+        word = 0
+        for pv in placed:
+            word = (word << 1) | (row >> pv & 1)
+        return word
+
+    def rec(placed_mask: int) -> None:
+        nonlocal best
+        depth = len(placed)
+        if depth == n:
+            if best is None or path < best:
+                best = path.copy()
+            return
+        rest = ~placed_mask & ((1 << n) - 1)
+        cands = []
+        seen_open: set[tuple[int, int]] = set()
+        seen_closed: set[tuple[int, int]] = set()
+        for u in iter_bits(rest):
+            to_placed = rows[u] & placed_mask
+            open_key = (to_placed, rows[u] & rest)
+            closed_key = (to_placed, (rows[u] | 1 << u) & rest)
+            twin = open_key in seen_open or closed_key in seen_closed
+            seen_open.add(open_key)
+            seen_closed.add(closed_key)
+            if twin:
+                continue  # interchangeable with an earlier candidate
+            cands.append((compressed(rows[u]), u))
+        cands.sort()
+        for word, u in cands:
+            path.append(word)
+            if best is None or path[: depth + 1] <= best[: depth + 1]:
+                placed.append(u)
+                rec(placed_mask | 1 << u)
+                placed.pop()
+            path.pop()
+
+    rec(0)
+    assert best is not None
+    bits: list[int] = []
+    for level, word in enumerate(best):
+        bits.extend((word >> (level - i) & 1) for i in range(1, level + 1))
+    packed = bytearray([n])
+    for i in range(0, len(bits), 8):
+        byte = 0
+        for b in bits[i : i + 8]:
+            byte = (byte << 1) | b
+        byte <<= 8 - len(bits[i : i + 8])
+        packed.append(byte)
+    return bytes(packed)
+
+
+def test_canonical_code_matches_reference():
+    rng = random.Random(2018)
+    battery = [g6_decode("IApA_GOOG")]  # a sparse n = 10 graph of the census tail
+    for k in range(2880):  # every (n, density) pair 64 times
+        battery.append(random_graph(rng, 6 + k % 5, 0.1 + 0.1 * (k // 5 % 9)))
+    pairs = [(i, j) for j in range(10) for i in range(j)]
+    for k in range(120):  # the slowest inputs: n = 10 with 9-14 edges
+        battery.append(Graph.from_edges(10, rng.sample(pairs, 9 + k % 6)))
+    for g in battery:
+        assert canonical_code(g) == _reference_canonical_code(g), g6_encode(g)
 
 
 def test_canonical_cap():

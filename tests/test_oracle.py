@@ -133,7 +133,7 @@ def test_report_json_shape():
 
 
 def test_nonisomorphic_counts():
-    assert [len(nonisomorphic_graphs(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
+    assert [len(nonisomorphic_graphs(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_all_graphs_count():
