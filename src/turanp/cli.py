@@ -59,7 +59,10 @@ def _parse_range(text: str, what: str) -> range:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"bad {what} range {text!r} (use a:b)")
-    return range(int(lo), int(hi) + 1)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"empty {what} range {text!r} (need a <= b)")
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------
@@ -199,6 +202,10 @@ def cmd_oracle(args) -> int:
         if not (args.n_range and args.p_range):
             print("error: give both --n-range and --p-range", file=sys.stderr)
             return 2
+        if args.out == "g6":
+            print("error: a range query prints json or csv, not g6",
+                  file=sys.stderr)
+            return 2
         rows = oracle.verify_range(pattern,
                                    _parse_range(args.n_range, "n"),
                                    _parse_range(args.p_range, "p"),
@@ -212,8 +219,16 @@ def cmd_oracle(args) -> int:
     if args.n is None or args.p is None:
         print("error: give --n and --p (or --n-range/--p-range)", file=sys.stderr)
         return 2
+    if args.out == "csv":
+        print("error: a single query prints json or g6, not csv",
+              file=sys.stderr)
+        return 2
     rep = oracle.max_ep(args.n, pattern, args.p, override_cap=args.override_cap)
-    _emit_json(rep.to_json())
+    if args.out == "g6":
+        for g6, _ in rep.maximizers:
+            sys.stdout.write(g6 + "\n")
+    else:
+        _emit_json(rep.to_json())
     return 0
 
 

@@ -13,7 +13,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 VERTEX_CAP = 64
 CANON_CAP = 10
@@ -33,6 +33,22 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def lower_twins(rows: Sequence[int]) -> list[int]:
+    """lower[v]: the mask of v's lower-numbered twins, open (same
+    neighbourhood) or closed (same closed neighbourhood).  Swapping two
+    twins is an automorphism.  A vertex with an open twin has no closed
+    twin, so the two kinds of class never mix."""
+    lower = [0] * len(rows)
+    for closed in (False, True):
+        seen: dict[int, int] = {}
+        for v, row in enumerate(rows):
+            key = row | (1 << v if closed else 0)
+            below = seen.get(key, 0)
+            lower[v] |= below
+            seen[key] = below | 1 << v
+    return lower
 
 
 @dataclass(frozen=True)

@@ -3,22 +3,32 @@
 Pattern-freeness is hereditary, so the pattern-free isomorphism classes on
 k vertices are exactly the pattern-free one-vertex extensions of the
 classes on k-1 vertices.  The search grows them level by level from the
-empty graph, extending each class by every neighbourhood mask of a new
-vertex and deduplicating by `canonical_code` (orderly generation: Read
+empty graph, extending each class by neighbourhood masks of a new vertex
+and deduplicating by `canonical_code` (orderly generation: Read
 1978; McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
 
+Only twin-ordered masks are extended: a mask that holds a vertex must
+hold all of that vertex's lower-numbered twins in the base (open or
+closed, as `lower_twins` finds them).  Swapping two twins is an
+automorphism of the base, so masks that differ only within twin classes
+give isomorphic extensions, and each such orbit keeps exactly one
+twin-ordered mask, the one taking every class lowest index first.
+
 Each mask is tested through its highest edge only.  Dropping that edge
-gives a smaller mask of the same class, decided earlier: if it was
-rejected, so is this one, untested; if not, every copy of the pattern uses
-the new edge, and one `AnchoredMatcher.contains_through` call on it
-decides.  The last level needs no deduplication: each extension's e_p is
-compared with the running maximum, and only extensions reaching it get a
-canonical code.  A maximizer is reported by its canonical code and by the
-graph6 string of the graph that code spells, which is the least graph6
-string over its labellings.
+gives a smaller mask of the same class, decided earlier (and still
+twin-ordered: no vertex left in it has the dropped, highest one as a
+lower twin): if it was rejected, so is this one, untested; if not, every
+copy of the pattern uses the new edge, and one
+`AnchoredMatcher.contains_through` call on it decides.  The last level
+needs no deduplication: each extension's e_p is compared with the running
+maximum, and only extensions reaching it get a canonical code.  A
+maximizer is reported by its canonical code and by the graph6 string of
+the graph that code spells, which is the least graph6 string over its
+labellings.
 
 Search counters under `meta`: `graphs_visited` counts the extensions
-examined (one per class and mask), `pruned` those rejected because they
+examined (one per class and twin-ordered mask; masks skipped for their
+twin order are not counted), `pruned` those of them rejected because they
 contain the pattern.
 """
 from __future__ import annotations
@@ -28,7 +38,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .formulas import formula_for_pattern
-from .graphs import Graph, canonical_code, g6_encode, graph_from_code
+from .graphs import Graph, canonical_code, g6_encode, graph_from_code, lower_twins
 from .patterns import AnchoredMatcher, ForestPattern, is_free
 
 ORACLE_CAP = 8
@@ -68,6 +78,10 @@ class OracleReport:
         return out
 
 
+_REJECTED = 1
+_UNORDERED = 2
+
+
 @dataclass
 class _Counts:
     visited: int = 0
@@ -77,20 +91,29 @@ class _Counts:
 def _extensions(classes: list[tuple[int, ...]], k: int,
                 matcher: AnchoredMatcher | None,
                 counts: _Counts) -> Iterator[list[int]]:
-    """Rows of every extension of the (k-1)-vertex classes by a new vertex
-    k-1 that stays pattern-free (every extension when matcher is None)."""
+    """Rows of every twin-ordered extension of the (k-1)-vertex classes by
+    a new vertex k-1 that stays pattern-free (every twin-ordered extension
+    when matcher is None)."""
     v = k - 1
     for base in classes:
-        rejected = bytearray(1 << v)
+        lower = lower_twins(base)
+        # per mask: 0 kept, _REJECTED contains the pattern, _UNORDERED
+        # holds a vertex without all of its lower twins
+        state = bytearray(1 << v)
         for mask in range(1 << v):
+            below = 0
+            if mask:
+                top = mask.bit_length() - 1
+                below = state[mask ^ 1 << top]
+                if below == _UNORDERED or lower[top] & ~mask:
+                    state[mask] = _UNORDERED
+                    continue
             counts.visited += 1
-            top = mask.bit_length() - 1
             rows = [row | (mask >> u & 1) << v for u, row in enumerate(base)]
             rows.append(mask)
             if mask and matcher is not None and (
-                    rejected[mask ^ 1 << top]
-                    or matcher.contains_through(k, rows, v, top)):
-                rejected[mask] = 1
+                    below or matcher.contains_through(k, rows, v, top)):
+                state[mask] = _REJECTED
                 counts.pruned += 1
                 continue
             yield rows
@@ -103,7 +126,7 @@ def _classes(k: int, matcher: AnchoredMatcher | None,
     for j in range(1, k + 1):
         seen: dict[bytes, tuple[int, ...]] = {}
         for rows in _extensions(classes, j, matcher, counts):
-            g = Graph(j, tuple(rows))
+            g = Graph._trusted(j, tuple(rows))
             seen.setdefault(canonical_code(g), g.rows)
         classes = list(seen.values())
     return classes
@@ -142,7 +165,7 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
         if val > best:
             best = val
             codes = set()
-        codes.add(canonical_code(Graph(n, tuple(rows))))
+        codes.add(canonical_code(Graph._trusted(n, tuple(rows))))
     maximizers = tuple(sorted((g6_encode(graph_from_code(code)), code.hex())
                               for code in codes))
     return OracleReport(n, p, pattern.text(), best, maximizers,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, lower_twins
 
 
 class Unknown:
@@ -232,17 +232,9 @@ def _collapse_twins(g: Graph, cap: int) -> tuple[Graph, list[int]]:
 
     A pattern copy uses at most `cap` = pattern-order host vertices, and
     twins are interchangeable, so keeping the lowest min(class size, cap)
-    of every class preserves containment exactly.  A vertex with an open
-    twin has no closed twin, so the two kinds of class never mix."""
+    of every class preserves containment exactly."""
     while True:
-        lower = [0] * g.n
-        for closed in (False, True):
-            seen: dict[int, int] = {}
-            for v in range(g.n):
-                key = g.rows[v] | (1 << v if closed else 0)
-                below = seen.get(key, 0)
-                lower[v] |= below
-                seen[key] = below | 1 << v
+        lower = lower_twins(g.rows)
         keep = [v for v in range(g.n) if lower[v].bit_count() < cap]
         if len(keep) == g.n:
             return g, lower
@@ -600,7 +592,18 @@ class AnchoredMatcher:
     """Decides whether a host graph contains the pattern using one given
     host edge.  Pattern-side orders are precomputed once per pattern; the
     host is supplied as raw bitmask rows so callers can probe candidate
-    edges without building Graph values."""
+    edges without building Graph values.
+
+    A copy through host edge ab maps some directed pattern edge (u, v) to
+    (a, b).  Composing with an automorphism of the pattern moves (u, v)
+    anywhere in its orbit, so one anchored plan per orbit of directed
+    edges suffices.  In a forest, (u, v) and (u', v') share an orbit
+    exactly when the tree on u's side of the edge, rooted at u, is
+    isomorphic to the one on u''s side rooted at u', and likewise for v
+    and v': an isomorphism of the two components then carries one edge
+    onto the other, and if the components differ, swapping them fixes the
+    rest of the forest.  So the pair of rooted-tree codes keys the orbit:
+    `stars:3,3,3` has 18 directed edges in 2 orbits, `path:6` 10 in 5."""
 
     def __init__(self, edges: list[tuple[int, int]]):
         edges = [tuple(e) for e in edges]
@@ -612,12 +615,25 @@ class AnchoredMatcher:
             padj[v] |= 1 << u
         self.padj = padj
         self.pdeg = [m.bit_count() for m in padj]
-        # for each directed pattern edge: embedding order of the remaining
-        # vertices, seeded with the two anchored endpoints
+        # per orbit of directed pattern edges: its first edge and the
+        # embedding order of the remaining vertices, seeded with the two
+        # anchored endpoints
         self.plans: list[tuple[int, int, list[tuple[int, int]]]] = []
+        seen: set[tuple[str, str]] = set()
         for u, v in edges:
             for pu, pv in ((u, v), (v, u)):
-                self.plans.append((pu, pv, self._plan(pu, pv)))
+                key = (self._rooted_code(pu, pv), self._rooted_code(pv, pu))
+                if key not in seen:
+                    seen.add(key)
+                    self.plans.append((pu, pv, self._plan(pu, pv)))
+
+    def _rooted_code(self, root: int, away: int) -> str:
+        """AHU (Aho-Hopcroft-Ullman) code of the tree on root's side of the
+        edge (root, away), rooted at root: equal codes iff isomorphic
+        rooted trees."""
+        return "(" + "".join(sorted(self._rooted_code(w, root)
+                                    for w in iter_bits(self.padj[root])
+                                    if w != away)) + ")"
 
     def _plan(self, pu: int, pv: int) -> list[tuple[int, int]]:
         placed = {pu, pv}
@@ -641,11 +657,14 @@ class AnchoredMatcher:
         edge ab?  Exact; assumes ab is an edge of rows."""
         if self.pn > n:
             return False
-        padj = self.padj
         pdeg = self.pdeg
         image = [-1] * self.pn
         full = (1 << n) - 1
 
+        # Each plan places a forest in BFS order, so a vertex's only placed
+        # pattern neighbour is its parent (a component root has none), and
+        # drawing candidates from the parent's image's row keeps every
+        # placed pattern edge on a host edge.
         def bt(order: list[tuple[int, int]], i: int, used: int) -> bool:
             if i == len(order):
                 return True
@@ -654,24 +673,14 @@ class AnchoredMatcher:
             for hv in iter_bits(cands):
                 if rows[hv].bit_count() < pdeg[pv]:
                     continue
-                ok = True
-                for q in iter_bits(padj[pv]):
-                    if image[q] >= 0 and not rows[hv] >> image[q] & 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
                 image[pv] = hv
                 if bt(order, i + 1, used | 1 << hv):
                     return True
-                image[pv] = -1
             return False
 
         for pu, pv, order in self.plans:
             if rows[a].bit_count() < pdeg[pu] or rows[b].bit_count() < pdeg[pv]:
                 continue
-            for i in range(self.pn):
-                image[i] = -1
             image[pu] = a
             image[pv] = b
             if bt(order, 0, (1 << a) | (1 << b)):

@@ -94,6 +94,34 @@ def test_oracle_range_csv(capsys):
     assert lines[0].startswith("pattern,n,p,oracle,formula,agree")
 
 
+def test_oracle_empty_ranges_are_errors(capsys):
+    for n_range, p_range in (("8:6", "2:2"), ("6:6", "3:1")):
+        code, out, err = run(capsys, "oracle", "--pattern", "path:4",
+                             "--n-range", n_range, "--p-range", p_range)
+        assert code == 1 and out == ""
+        assert "empty" in err
+
+
+def test_oracle_single_query_g6(capsys):
+    # the P_4-free graphs on 5 vertices with the most edges: K_{1,4} and
+    # the disjoint union of K_3 and K_2
+    args = ("oracle", "--pattern", "path:4", "--n", "5", "--p", "1")
+    _, out, _ = run(capsys, *args)
+    want = json.loads(out)["maximizers"]
+    assert len(want) == 2
+    code, out, _ = run(capsys, *args, "--out", "g6")
+    assert code == 0
+    assert out.splitlines() == want
+
+
+def test_oracle_out_mismatch_is_usage_error(capsys):
+    single = ("--n", "5", "--p", "2", "--out", "csv")
+    ranged = ("--n-range", "2:4", "--p-range", "2:2", "--out", "g6")
+    for extra in (single, ranged):
+        code, out, err = run(capsys, "oracle", "--pattern", "path:3", *extra)
+        assert code == 2 and out == "" and "error" in err
+
+
 def test_oracle_removed_flags_are_usage_errors(capsys):
     for flag in (["--threads", "2"], ["--no-prune"]):
         code, _, _ = run(capsys, "oracle", "--pattern", "path:3", "--n", "5",

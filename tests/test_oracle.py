@@ -1,10 +1,15 @@
 """Oracle: frozen small-n truths, maximizer structure, determinism."""
+from math import prod
+
 import pytest
 
 from turanp.families import complete_graph, matching_graph, star_graph
 from turanp.formulas import ex_path, exp_path
 from turanp.graphs import canonical_code, g6_decode
 from turanp.oracle import (
+    _classes,
+    _Counts,
+    _extensions,
     all_graphs,
     ex_classical,
     max_ep,
@@ -134,6 +139,25 @@ def test_report_json_shape():
 
 def test_nonisomorphic_counts():
     assert [len(nonisomorphic_graphs(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_extensions_keep_one_mask_per_twin_orbit():
+    # twins u, v have N(u) - v == N(v) - u; swapping twins permutes the new
+    # vertex's masks within twin classes, and a class of s vertices meets a
+    # mask in 0..s of them, so a base has prod(s + 1) mask orbits
+    for k in range(2, 8):
+        bases = _classes(k - 1, None, _Counts())
+        want = 0
+        for base in bases:
+            cls = list(range(k - 1))
+            for u in range(k - 1):
+                for v in range(u):
+                    if base[u] & ~(1 << v) == base[v] & ~(1 << u):
+                        cls = [cls[v] if c == cls[u] else c for c in cls]
+            want += prod(cls.count(c) + 1 for c in set(cls))
+        counts = _Counts()
+        assert sum(1 for _ in _extensions(bases, k, None, counts)) == want, k
+        assert counts.visited == want and counts.pruned == 0
 
 
 def test_all_graphs_count():

@@ -1,6 +1,7 @@
 """Detectors: frozen examples, cross-checks against the generic matcher,
 budget behaviour, and structural invariants."""
 import random
+from itertools import permutations
 
 import pytest
 
@@ -32,6 +33,7 @@ from turanp.patterns import (
     contains_star_forest,
     is_free,
     parse_pattern,
+    pattern_order,
 )
 from turanp.oracle import all_graphs, nonisomorphic_graphs
 
@@ -240,6 +242,64 @@ def test_anchored_matcher_agrees_with_generic():
                 assert through
             if whole is False:
                 assert not through
+
+
+def _through_edges(n, rows, edges, pn):
+    """Host edges {a, b} onto which some injective map of the pattern into
+    the host sends a pattern edge, by trying every map."""
+    through = set()
+    for image in permutations(range(n), pn):
+        if all(rows[image[u]] >> image[v] & 1 for u, v in edges):
+            through |= {frozenset((image[u], image[v])) for u, v in edges}
+    return through
+
+
+def test_anchored_matcher_is_exact():
+    rng = random.Random(37)
+    pats = [parse_pattern(t) for t in ("stars:2,2", "linear:2,2,2", "star:3",
+                                       "broom:5,1", "linear:3,2", "path:5")]
+    for pat in pats:
+        edges = pat.edge_list()
+        matcher = AnchoredMatcher(edges)
+        seen = set()
+        for _ in range(50):
+            n = rng.randint(pat.order() - 1, 7)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            want = _through_edges(n, g.rows, edges, pat.order())
+            for a, b in g.edges():
+                for x, y in ((a, b), (b, a)):
+                    got = matcher.contains_through(n, list(g.rows), x, y)
+                    assert got == (frozenset((a, b)) in want), (
+                        f"pat={pat.text()}, g={list(g.edges())}, edge={x, y}")
+                    seen.add(got)
+        assert seen == {True, False}, pat.text()
+
+
+def _edge_orbits(edges, pn):
+    """Orbits of the directed pattern edges under the pattern's
+    automorphisms, found by trying every vertex permutation."""
+    undirected = {frozenset(e) for e in edges}
+    autos = [perm for perm in permutations(range(pn))
+             if all(frozenset((perm[u], perm[v])) in undirected for u, v in edges)]
+    directed = [d for u, v in edges for d in ((u, v), (v, u))]
+    return {d: frozenset((perm[d[0]], perm[d[1]]) for perm in autos)
+            for d in directed}
+
+
+def test_anchored_matcher_keeps_one_plan_per_edge_orbit():
+    cases = [parse_pattern(t).edge_list() for t in (
+        "stars:2,2", "linear:2,2,2", "star:3", "broom:5,1", "linear:3,2",
+        "path:5", "stars:3,3", "path:8")]
+    # a spider whose long leg is numbered between its two short legs, so
+    # the short legs' edges see the centre's other branches in different
+    # index orders
+    cases.append([(2, 1), (2, 5), (2, 3), (3, 4), (4, 0)])
+    for edges in cases:
+        orbit = _edge_orbits(edges, pattern_order(edges))
+        plans = AnchoredMatcher(edges).plans
+        assert len(plans) == len(set(orbit.values())), edges
+        assert {orbit[pu, pv] for pu, pv, _ in plans} == set(orbit.values()), edges
+    assert len(AnchoredMatcher(parse_pattern("stars:3,3,3").edge_list()).plans) == 2
 
 
 # ---------------------------------------------------------------------
