@@ -26,6 +26,26 @@ maximizer is reported by its canonical code and by the graph6 string of
 the graph that code spells, which is the least graph6 string over its
 labellings.
 
+Before an extension is canonized it must pass the canonical-deletion
+pre-test (McKay 1998; nauty's `geng` runs a similar test): each vertex's
+invariant is (degree, sorted neighbour degrees) in the extended graph,
+compared lexicographically, and an extension is skipped, uncanonized,
+when some vertex's invariant is larger than the new vertex's; ties pass.
+Skipping loses no class: a class H has a vertex u of largest invariant,
+and H - u is pattern-free, so it is one of the base classes.  Extending
+that base by u's neighbourhood rebuilds H with u as the new vertex, and
+so does the twin-ordered mask that neighbourhood maps to, because a twin
+swap in the base fixes the new vertex.  On the last level the pre-test
+guards only the canonization; the e_p comparison still sees every
+extension.
+
+The pre-test runs on what `_extensions` yields, after each mask's state
+is recorded, so the heredity chain stays whole.  It can change which
+labelling of a class is kept, and with it which masks the heredity chain
+rejects untested, so the number of matcher calls moves slightly; the two
+counters below count twin orbits of masks, which do not depend on the
+labelling, so they do not move.
+
 Search counters under `meta`: `graphs_visited` counts the extensions
 examined (one per class and twin-ordered mask; masks skipped for their
 twin order are not counted), `pruned` those of them rejected because they
@@ -38,7 +58,14 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .formulas import formula_for_pattern
-from .graphs import Graph, canonical_code, g6_encode, graph_from_code, lower_twins
+from .graphs import (
+    Graph,
+    canonical_code,
+    g6_encode,
+    graph_from_code,
+    iter_bits,
+    lower_twins,
+)
 from .patterns import AnchoredMatcher, ForestPattern, is_free
 
 ORACLE_CAP = 8
@@ -119,6 +146,23 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
             yield rows
 
 
+def _new_vertex_largest(rows: list[int]) -> bool:
+    """Canonical-deletion pre-test: False when some vertex's invariant
+    (degree, sorted neighbour degrees) exceeds the new, last vertex's."""
+    deg = [row.bit_count() for row in rows]
+    v = len(rows) - 1
+    if deg[v] < max(deg):
+        return False
+    mine = None
+    for u in range(v):
+        if deg[u] == deg[v]:
+            if mine is None:
+                mine = sorted([deg[w] for w in iter_bits(rows[v])])
+            if sorted([deg[w] for w in iter_bits(rows[u])]) > mine:
+                return False
+    return True
+
+
 def _classes(k: int, matcher: AnchoredMatcher | None,
              counts: _Counts) -> list[tuple[int, ...]]:
     """One rows tuple per pattern-free isomorphism class on k vertices."""
@@ -126,6 +170,8 @@ def _classes(k: int, matcher: AnchoredMatcher | None,
     for j in range(1, k + 1):
         seen: dict[bytes, tuple[int, ...]] = {}
         for rows in _extensions(classes, j, matcher, counts):
+            if not _new_vertex_largest(rows):
+                continue
             g = Graph._trusted(j, tuple(rows))
             seen.setdefault(canonical_code(g), g.rows)
         classes = list(seen.values())
@@ -165,7 +211,8 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
         if val > best:
             best = val
             codes = set()
-        codes.add(canonical_code(Graph._trusted(n, tuple(rows))))
+        if _new_vertex_largest(rows):
+            codes.add(canonical_code(Graph._trusted(n, tuple(rows))))
     maximizers = tuple(sorted((g6_encode(graph_from_code(code)), code.hex())
                               for code in codes))
     return OracleReport(n, p, pattern.text(), best, maximizers,

@@ -78,12 +78,14 @@ def parse_config(text: str) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    cap = oracle.ORACLE_HARD_CAP if cfg.get("oracle.override") else oracle.ORACLE_CAP
+    override = cfg.get("oracle.override")
+    cap = oracle.ORACLE_HARD_CAP if override else oracle.ORACLE_CAP
     if cfg["oracle.n_max"] > cap:
+        limit = (f"hard cap {cap}" if override else
+                 f"cap {cap} (hard cap {oracle.ORACLE_HARD_CAP} with "
+                 f"oracle.override=1)")
         raise ConfigError(
-            f"oracle.n_max={cfg['oracle.n_max']} exceeds the oracle cap "
-            f"{oracle.ORACLE_CAP} (hard cap {oracle.ORACLE_HARD_CAP} with "
-            f"oracle.override=1)")
+            f"oracle.n_max={cfg['oracle.n_max']} exceeds the oracle {limit}")
 
 
 # ---------------------------------------------------------------------

@@ -179,7 +179,12 @@ def test_verify_config_cap_error(tmp_path, capsys):
     cfg.write_text("oracle.n_max = 12\n")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 1
-    assert "8" in err  # message names the cap
+    assert "exceeds the oracle cap 8" in err  # message names the cap
+    # with the override in force the message names the hard cap instead
+    cfg.write_text("oracle.n_max = 10\noracle.override = 1\n")
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1
+    assert "exceeds the oracle hard cap 9" in err and "cap 8" not in err
 
 
 def test_verify_empty_check_fails(tmp_path, capsys):

@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from turanp import oracle
 from turanp.families import complete_graph, matching_graph, star_graph
 from turanp.formulas import ex_path, exp_path
 from turanp.graphs import canonical_code, g6_decode
@@ -18,11 +19,13 @@ from turanp.oracle import (
     verify_range,
 )
 from turanp.patterns import (
+    AnchoredMatcher,
     BroomPattern,
     LinearForestPattern,
     PathPattern,
     StarForestPattern,
     is_free,
+    parse_pattern,
 )
 
 
@@ -138,7 +141,35 @@ def test_report_json_shape():
 
 
 def test_nonisomorphic_counts():
-    assert [len(nonisomorphic_graphs(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    # OEIS A000088
+    assert ([len(nonisomorphic_graphs(n)) for n in range(9)]
+            == [1, 1, 2, 4, 11, 34, 156, 1044, 12346])
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("path:4", 21), ("path:6", 133), ("linear:3,2", 15), ("linear:2,2,2", 81),
+    ("star:3", 29), ("stars:2,2", 81), ("broom:5,1", 108),
+])
+def test_pattern_free_class_counts(spec, count):
+    # n = 7 has many vertices tied on the pre-test's invariant
+    matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
+    assert len(_classes(7, matcher, _Counts())) == count
+
+
+def test_canonical_deletion_filter_fires(monkeypatch):
+    # without the pre-test every one of the 7,195 twin-ordered extensions
+    # up to n = 7 is canonized
+    calls = 0
+    real = oracle.canonical_code
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(oracle, "canonical_code", counted)
+    assert len(_classes(7, None, _Counts())) == 1044
+    assert calls <= 7195 // 4
 
 
 def test_extensions_keep_one_mask_per_twin_orbit():
