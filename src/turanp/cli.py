@@ -269,12 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "an exhaustive small-n oracle.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", choices=("json", "csv", "g6"), default="json")
+    # each subcommand accepts only the output formats it prints
+    def add_out(p, *choices, default="json"):
+        p.add_argument("--out", choices=choices, default=default)
 
     p = sub.add_parser("construct", help="build a named family, emit graph6")
     p.add_argument("--family", required=True)
-    p.add_argument("--out", choices=("json", "csv", "g6"), default="g6")
+    add_out(p, "json", "csv", "g6", default="g6")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("ep", help="degree-power sum of graphs")
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--in", dest="inp", metavar="-",
                    help="read graph6 lines from stdin")
-    add_common(p)
+    add_out(p, "json", "csv")
     p.set_defaults(func=cmd_ep)
 
     p = sub.add_parser("free", help="decide forbidden-forest freeness")
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", metavar="-")
     p.add_argument("--budget", type=int, default=None,
                    help="step budget; exhausted -> 'unknown'")
-    add_common(p)
+    add_out(p, "json", "csv")
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("formula", help="evaluate a closed form")
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=lambda t: _parse_int_list(t, "degrees"))
     p.add_argument("--resolve-base", action="store_true",
                    help="resolve the B_{5,s} reduction base via the oracle")
-    add_common(p)
+    add_out(p, "json")
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("rewrite", help="demonstrate a pendent-structure rewrite")
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--demo", action="store_true")
-    add_common(p)
+    add_out(p, "json")
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("oracle", help="exhaustive max e_p over pattern-free graphs")
@@ -329,18 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-range", dest="p_range")
     p.add_argument("--override-cap", action="store_true",
                    help=f"allow n = {oracle.ORACLE_HARD_CAP}")
-    add_common(p)
+    add_out(p, "json", "csv", "g6")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--only", help="comma-separated subset of checks")
-    add_common(p)
+    add_out(p, "json", "csv")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lemmas", help="superadditivity and absorption grids")
     p.add_argument("--span", type=int, default=12)
-    add_common(p)
+    add_out(p, "json")
     p.set_defaults(func=cmd_lemmas)
 
     return parser

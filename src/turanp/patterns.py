@@ -12,19 +12,27 @@ answer.  This makes freeness checks on the dense extremal constructions
 (huge twin classes) cheap.  The generic edge-list detector deliberately
 skips this preprocessing so the two routes stay independent.
 
-The linear- and star-forest searches also break the symmetry that the
-remaining twin classes leave.  Swapping two twins is an automorphism of
-the host, and so is any permutation of the still-unused vertices of one
-class, so an embedding can be relabelled, part by part in search order,
-until every class is used lowest index first; the searches therefore take
-a vertex only when none of its lower-numbered twins is still free (for
-stars: a centre only when its lower twins are all centres already, which
-leaves the largest stars on the lowest twins).  Relabelling a path keeps
-its vertex set, and of the two orientations of a relabelled path at
-least one ends above its start, so the one-orientation rule survives.
-Once each path is fixed by its vertex set, the rest of the search depends
-only on (component index, available vertices); failed states are
-memoized, which also makes the ordering of equal-length paths redundant.
+The path, linear-forest, broom and star-forest searches also break the
+symmetry that the remaining twin classes leave.  Swapping two twins is an
+automorphism of the host, and so is any permutation of the still-unused
+vertices of one class, so an embedding can be relabelled, part by part in
+search order, until every class is used lowest index first; the searches
+therefore take a vertex only when none of its lower-numbered twins is
+still free (for stars: a centre only when its lower twins are all centres
+already, which leaves the largest stars on the lowest twins).  Paths,
+linear forests and brooms share one path walk for this.  A path or linear
+forest is a set of paths: relabelling a path keeps its vertex set, and of
+the two orientations of a relabelled path at least one ends above its
+start, so the one-orientation rule survives.  Once each path is fixed by
+its vertex set, the rest of the search depends only on (component index,
+available vertices); failed states are memoized, which also makes the
+ordering of equal-length paths redundant.  A broom B_{ell,s} is walked as
+its path P_{ell-1} in the one orientation that ends at the centre, which
+then needs s + 1 neighbours (v_ell and the s leaves) among the vertices
+left off the path.  A twin
+swap fixes every other vertex, so it maps a broom onto a broom and the
+twin rule stays sound; the two ends of that path play different parts,
+so no orientation rule applies.
 """
 from __future__ import annotations
 
@@ -61,6 +69,8 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, steps: int | None):
+        if steps is not None and steps < 0:
+            raise ValueError(f"step budget must be >= 0, got {steps}")
         self.left = steps
 
     def spend(self) -> None:
@@ -247,39 +257,26 @@ def _collapse_twins(g: Graph, cap: int) -> tuple[Graph, list[int]]:
 
 def contains_path(g: Graph, ell: int, budget: int | None = None):
     """True iff g has a simple path on ell vertices."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    bud = _Budget(budget)
-    try:
-        return _path_exists(_collapse_twins(g, ell)[0], ell, bud)
-    except _OutOfBudget:
-        return UNKNOWN
+    return contains_linear_forest(g, (ell,), budget)
 
 
-def _path_exists(g: Graph, ell: int, bud: _Budget) -> bool:
-    if g.n < ell:
-        return False
-    rows = g.rows
-    big = 0
-    for comp in g.components():
-        if comp.bit_count() >= ell:
-            big |= comp
-    if not big:
-        return False
-
-    def extend(v: int, mask: int, depth: int) -> bool:
-        if depth == ell:
-            return True
+def _paths(rows: list[int], lower: list[int], order: int, avail: int, bud: _Budget):
+    """Lazily yield (mask, start, end) for every directed simple path on
+    `order` vertices inside `avail`, taking a vertex only when none of its
+    lower twins is still free."""
+    def extend(v: int, mask: int, depth: int, start: int):
         bud.spend()
-        for w in iter_bits(rows[v] & ~mask):
-            if extend(w, mask | 1 << w, depth + 1):
-                return True
-        return False
+        if depth == order:
+            yield mask, start, v
+            return
+        free = avail & ~mask
+        for w in iter_bits(rows[v] & free):
+            if not lower[w] & free:
+                yield from extend(w, mask | 1 << w, depth + 1, start)
 
-    for v in iter_bits(big):
-        if extend(v, 1 << v, 1):
-            return True
-    return False
+    for v in iter_bits(avail):
+        if not lower[v] & avail:
+            yield from extend(v, 1 << v, 1, v)
 
 
 def contains_linear_forest(g: Graph, lengths, budget: int | None = None):
@@ -295,33 +292,15 @@ def contains_linear_forest(g: Graph, lengths, budget: int | None = None):
     full = (1 << g.n) - 1
     failed: set[tuple[int, int]] = set()
 
-    def paths_of(order: int, avail: int):
-        # lazily yield vertex masks of simple paths on `order` vertices
-        # inside `avail`, each vertex taken only after its free lower
-        # twins; orientations deduped via start < end.
-        def extend(v: int, mask: int, depth: int, start: int):
-            bud.spend()
-            if depth == order:
-                if v > start:
-                    yield mask
-                return
-            free = avail & ~mask
-            for w in iter_bits(rows[v] & free):
-                if not lower[w] & free:
-                    yield from extend(w, mask | 1 << w, depth + 1, start)
-
-        for v in iter_bits(avail):
-            if not lower[v] & avail:
-                yield from extend(v, 1 << v, 1, v)
-
     def place(i: int, avail: int) -> bool:
         if i == len(lengths):
             return True
         if (i, avail) in failed:
             return False
         tried = set()
-        for mask in paths_of(lengths[i], avail):
-            if mask in tried:
+        # one orientation per path: its end above its start
+        for mask, start, end in _paths(rows, lower, lengths[i], avail, bud):
+            if end < start or mask in tried:
                 continue
             tried.add(mask)
             if place(i + 1, avail & ~mask):
@@ -411,35 +390,18 @@ def contains_star_forest(g: Graph, degrees, budget: int | None = None):
 
 def contains_broom(g: Graph, ell: int, s: int, budget: int | None = None):
     """True iff g contains a path v_1..v_ell plus s further neighbours of
-    v_{ell-1} outside the path.  Directed path enumeration covers both
-    orientations, so only the traversal's own penultimate vertex is
-    checked."""
+    v_{ell-1} outside the path, that is a path on ell - 1 vertices whose
+    end has more than s neighbours off it."""
     if ell < 4 or s < 0:
         raise ValueError("broom needs ell >= 4, s >= 0")
     bud = _Budget(budget)
-    g, _ = _collapse_twins(g, ell + s)
+    g, lower = _collapse_twins(g, ell + s)
     if g.n < ell + s:
         return False
     rows = g.rows
-    big = 0
-    for comp in g.components():
-        if comp.bit_count() >= ell + s:
-            big |= comp
-
-    def extend(v: int, prev: int, mask: int, depth: int) -> bool:
-        if depth == ell:
-            return (rows[prev] & ~mask).bit_count() >= s
-        bud.spend()
-        for w in iter_bits(rows[v] & ~mask):
-            if extend(w, v, mask | 1 << w, depth + 1):
-                return True
-        return False
-
     try:
-        for v in iter_bits(big):
-            if extend(v, v, 1 << v, 1):
-                return True
-        return False
+        return any((rows[end] & ~mask).bit_count() > s
+                   for mask, _, end in _paths(rows, lower, ell - 1, (1 << g.n) - 1, bud))
     except _OutOfBudget:
         return UNKNOWN
 
@@ -513,6 +475,7 @@ def contains_forest_generic(g: Graph, edges, budget: int | None = None):
     no host preprocessing."""
     edges = [tuple(e) for e in edges]
     _check_forest(edges)
+    bud = _Budget(budget)
     pn = pattern_order(edges)
     if pn == 0:
         return True
@@ -527,7 +490,6 @@ def contains_forest_generic(g: Graph, edges, budget: int | None = None):
     rows = g.rows
     hdeg = [row.bit_count() for row in rows]
     image = [-1] * pn
-    bud = _Budget(budget)
 
     def bt(i: int, used: int) -> bool:
         if i == len(order):

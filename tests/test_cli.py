@@ -58,6 +58,15 @@ def test_free_budget_unknown(capsys):
     assert json.loads(out)["free"] == "unknown"
 
 
+def test_free_negative_budget_is_error(capsys):
+    code, out, err = run(capsys, "free", "--pattern", "path:4",
+                         "--family", "h-path:n=8,ell=4", "--budget", "-3")
+    assert code == 1 and out == "" and "budget" in err
+    code, out, _ = run(capsys, "free", "--pattern", "path:4",
+                       "--family", "h-path:n=8,ell=4", "--budget", "0")
+    assert code == 0 and json.loads(out)["free"] == "unknown"
+
+
 def test_ep_family(capsys):
     code, out, _ = run(capsys, "ep", "--p", "2", "--family", "complete:t=4")
     assert code == 0
@@ -120,6 +129,24 @@ def test_oracle_out_mismatch_is_usage_error(capsys):
     for extra in (single, ranged):
         code, out, err = run(capsys, "oracle", "--pattern", "path:3", *extra)
         assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ep", "--p", "2", "--family", "complete:t=4", "--out", "g6"),
+    ("free", "--pattern", "path:4", "--family", "complete:t=4", "--out", "g6"),
+    ("verify", "--only", "e4", "--out", "g6"),
+    ("formula", "--name", "exp_path", "--n", "10", "--ell", "6", "--p", "2",
+     "--out", "csv"),
+    ("formula", "--name", "exp_path", "--n", "10", "--ell", "6", "--p", "2",
+     "--out", "g6"),
+    ("lemmas", "--span", "3", "--out", "csv"),
+    ("lemmas", "--span", "3", "--out", "g6"),
+    ("rewrite", "--kind", "edge", "--demo", "--out", "csv"),
+    ("rewrite", "--kind", "edge", "--demo", "--out", "g6"),
+])
+def test_out_format_not_printed_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--out" in err
 
 
 def test_oracle_removed_flags_are_usage_errors(capsys):

@@ -205,6 +205,22 @@ def test_budget_unknown():
     assert contains_broom(g, 6, 2, budget=1) is UNKNOWN
     assert contains_star_forest(complete_graph(6), [2, 2], budget=1) is UNKNOWN
     assert contains_linear_forest(complete_graph(6), [3, 3], budget=1) is UNKNOWN
+    # a zero budget is legal: it decides only what needs no search step
+    assert contains_path(complete_graph(2), 2, budget=0) is UNKNOWN
+    assert contains_path(complete_graph(2), 3, budget=0) is False
+
+
+def test_negative_budget_is_rejected():
+    g = h_path(8, 4)
+    for call in (lambda: contains_path(g, 4, budget=-3),
+                 lambda: contains_path(g, 9, budget=-1),
+                 lambda: contains_linear_forest(g, [2, 2], budget=-1),
+                 lambda: contains_star_forest(g, [2], budget=-1),
+                 lambda: contains_broom(g, 4, 1, budget=-1),
+                 lambda: contains_forest_generic(g, [], budget=-1),
+                 lambda: is_free(g, PathPattern(4), budget=-3)):
+        with pytest.raises(ValueError, match="budget"):
+            call()
 
 
 def test_unknown_has_no_truth_value():
@@ -335,9 +351,10 @@ def test_detectors_match_generic_on_twin_rich_hosts():
     rng = random.Random(41)
     pats = [parse_pattern(t) for t in (
         "linear:2,2,2", "linear:3,3", "linear:3,3,2", "linear:4,4",
-        "stars:2,2,2", "stars:3,3", "stars:2,2,1")]
+        "stars:2,2,2", "stars:3,3", "stars:2,2,1",
+        "path:5", "broom:4,1", "broom:5,2", "broom:6,1")]
     seen = set()
-    for trial in range(700):
+    for trial in range(1100):
         pat = pats[trial % len(pats)]
         g = blow_up(rng, pat if trial % 2 else None)
         want = contains_forest_generic(g, pat.edge_list())
@@ -351,5 +368,8 @@ def test_extremal_hosts_certify_within_budget():
              for text in ("linear:4,4,4", "linear:5,5,5", "linear:3,3,2,2")
              for n in range(parse_pattern(text).order(), 65)]
     cases += [("stars:2,2,2,2", n, g_star_join(n, 4, 2)) for n in range(12, 30)]
+    cases += [("path:6", n, h_path(n, 6)) for n in range(6, 65)]
+    cases += [("broom:5,2", n, k_join_matching(n, 2)) for n in range(7, 65)]
+    cases += [("broom:6,1", n, h_path(n, 6)) for n in range(7, 65)]
     for text, n, host in cases:
         assert is_free(host, parse_pattern(text), budget=100_000) is True, f"{text} at n={n}"
