@@ -202,6 +202,10 @@ def cmd_oracle(args) -> int:
         if not (args.n_range and args.p_range):
             print("error: give both --n-range and --p-range", file=sys.stderr)
             return 2
+        if args.n is not None or args.p is not None:
+            print("error: give --n/--p or --n-range/--p-range, not both",
+                  file=sys.stderr)
+            return 2
         if args.out == "g6":
             print("error: a range query prints json or csv, not g6",
                   file=sys.stderr)

@@ -4,8 +4,18 @@ Pattern-freeness is hereditary, so the pattern-free isomorphism classes on
 k vertices are exactly the pattern-free one-vertex extensions of the
 classes on k-1 vertices.  The search grows them level by level from the
 empty graph, extending each class by neighbourhood masks of a new vertex
-and deduplicating by `canonical_code` (orderly generation: Read
-1978; McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
+and deduplicating (orderly generation: Read 1978; McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).
+
+Deduplication canonizes only where the sorted degree sequence cannot
+decide.  Each level buckets its extensions by that sequence: the first
+arrival in a bucket is a new class and is kept uncanonized; when a second
+one arrives, the waiting member is canonized once, and from then on each
+arrival in the bucket is canonized and kept if its `canonical_code` is
+new.  So each extension is canonized at most once, and never when no
+other extension shares its degree sequence; each class keeps its first
+arrival, in first-arrival order, so the classes are the ones that
+canonizing every extension would keep.
 
 Only twin-ordered masks are extended: a mask that holds a vertex must
 hold all of that vertex's lower-numbered twins in the base (open or
@@ -21,23 +31,25 @@ lower twin): if it was rejected, so is this one, untested; if not, every
 copy of the pattern uses the new edge, and one
 `AnchoredMatcher.contains_through` call on it decides.  The last level
 needs no deduplication: each extension's e_p is compared with the running
-maximum, and only extensions reaching it get a canonical code.  A
+maximum, the extensions reaching it are kept (and dropped when the
+maximum rises), and only those left at the end get a canonical code.  A
 maximizer is reported by its canonical code and by the graph6 string of
 the graph that code spells, which is the least graph6 string over its
 labellings.
 
-Before an extension is canonized it must pass the canonical-deletion
-pre-test (McKay 1998; nauty's `geng` runs a similar test): each vertex's
-invariant is (degree, sorted neighbour degrees) in the extended graph,
-compared lexicographically, and an extension is skipped, uncanonized,
-when some vertex's invariant is larger than the new vertex's; ties pass.
+Before an extension is bucketed or kept as a maximizer it must pass the
+canonical-deletion pre-test (McKay 1998; nauty's `geng` runs a similar
+test): each vertex's invariant is (degree, sorted neighbour degrees) in
+the extended graph, compared lexicographically, and an extension is
+skipped, uncanonized, when some vertex's invariant is larger than the new
+vertex's; ties pass.
 Skipping loses no class: a class H has a vertex u of largest invariant,
 and H - u is pattern-free, so it is one of the base classes.  Extending
 that base by u's neighbourhood rebuilds H with u as the new vertex, and
 so does the twin-ordered mask that neighbourhood maps to, because a twin
 swap in the base fixes the new vertex.  On the last level the pre-test
-guards only the canonization; the e_p comparison still sees every
-extension.
+guards only which extensions are kept for canonization; the e_p
+comparison still sees every extension.
 
 The pre-test runs on what `_extensions` yields, after each mask's state
 is recorded, so the heredity chain stays whole.  It can change which
@@ -146,10 +158,10 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
             yield rows
 
 
-def _new_vertex_largest(rows: list[int]) -> bool:
+def _new_vertex_largest(rows: list[int], deg: list[int]) -> bool:
     """Canonical-deletion pre-test: False when some vertex's invariant
-    (degree, sorted neighbour degrees) exceeds the new, last vertex's."""
-    deg = [row.bit_count() for row in rows]
+    (degree, sorted neighbour degrees) exceeds the new, last vertex's;
+    deg holds the degrees of rows."""
     v = len(rows) - 1
     if deg[v] < max(deg):
         return False
@@ -168,13 +180,30 @@ def _classes(k: int, matcher: AnchoredMatcher | None,
     """One rows tuple per pattern-free isomorphism class on k vertices."""
     classes: list[tuple[int, ...]] = [()]
     for j in range(1, k + 1):
-        seen: dict[bytes, tuple[int, ...]] = {}
+        level: list[tuple[int, ...]] = []
+        codes: set[bytes] = set()
+        # sorted degree sequence -> its one uncanonized member, or None
+        # once the sequence has met a second extension
+        lone: dict[tuple[int, ...], tuple[int, ...] | None] = {}
         for rows in _extensions(classes, j, matcher, counts):
-            if not _new_vertex_largest(rows):
+            deg = [row.bit_count() for row in rows]
+            if not _new_vertex_largest(rows, deg):
                 continue
-            g = Graph._trusted(j, tuple(rows))
-            seen.setdefault(canonical_code(g), g.rows)
-        classes = list(seen.values())
+            key = tuple(sorted(deg))
+            rows = tuple(rows)
+            if key not in lone:
+                lone[key] = rows
+                level.append(rows)
+                continue
+            first = lone[key]
+            if first is not None:
+                codes.add(canonical_code(Graph._trusted(j, first)))
+                lone[key] = None
+            code = canonical_code(Graph._trusted(j, rows))
+            if code not in codes:
+                codes.add(code)
+                level.append(rows)
+        classes = level
     return classes
 
 
@@ -203,16 +232,18 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
         matcher = AnchoredMatcher(pattern.edge_list())
         finals = _extensions(_classes(n - 1, matcher, counts), n, matcher, counts)
     best = -1
-    codes: set[bytes] = set()
+    tied: list[list[int]] = []  # rows at the running best passing the pre-test
     for rows in finals:
-        val = sum(row.bit_count() ** p for row in rows)
+        deg = [row.bit_count() for row in rows]
+        val = sum(d ** p for d in deg)
         if val < best:
             continue
         if val > best:
             best = val
-            codes = set()
-        if _new_vertex_largest(rows):
-            codes.add(canonical_code(Graph._trusted(n, tuple(rows))))
+            tied = []
+        if _new_vertex_largest(rows, deg):
+            tied.append(rows)
+    codes = {canonical_code(Graph._trusted(n, tuple(rows))) for rows in tied}
     maximizers = tuple(sorted((g6_encode(graph_from_code(code)), code.hex())
                               for code in codes))
     return OracleReport(n, p, pattern.text(), best, maximizers,

@@ -1,9 +1,14 @@
 """CLI: exit codes, JSON shapes, graph6 round-tripping, byte stability."""
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turanp
 from turanp.cli import main
 from turanp.families import h_path
 from turanp.graphs import ep_value, g6_decode, g6_encode
@@ -129,6 +134,27 @@ def test_oracle_out_mismatch_is_usage_error(capsys):
     for extra in (single, ranged):
         code, out, err = run(capsys, "oracle", "--pattern", "path:3", *extra)
         assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("single", [
+    ("--n", "7", "--p", "9"), ("--n", "7"), ("--p", "9"),
+])
+def test_oracle_single_and_range_flags_together_are_usage_error(capsys, single):
+    code, out, err = run(capsys, "oracle", "--pattern", "path:3", *single,
+                         "--n-range", "4:4", "--p-range", "1:1")
+    assert code == 2 and out == "" and "not both" in err
+
+
+def test_python_m_turanp_matches_main(capsys):
+    argv = ("oracle", "--pattern", "path:3", "--n", "4", "--p", "1")
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(turanp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "turanp", *argv],
+                          capture_output=True, timeout=120, check=False,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 @pytest.mark.parametrize("argv", [

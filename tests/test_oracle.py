@@ -6,11 +6,12 @@ import pytest
 from turanp import oracle
 from turanp.families import complete_graph, matching_graph, star_graph
 from turanp.formulas import ex_path, exp_path
-from turanp.graphs import canonical_code, g6_decode
+from turanp.graphs import Graph, canonical_code, g6_decode
 from turanp.oracle import (
     _classes,
     _Counts,
     _extensions,
+    _new_vertex_largest,
     all_graphs,
     ex_classical,
     max_ep,
@@ -146,10 +147,12 @@ def test_nonisomorphic_counts():
             == [1, 1, 2, 4, 11, 34, 156, 1044, 12346])
 
 
-@pytest.mark.parametrize("spec, count", [
-    ("path:4", 21), ("path:6", 133), ("linear:3,2", 15), ("linear:2,2,2", 81),
-    ("star:3", 29), ("stars:2,2", 81), ("broom:5,1", 108),
-])
+CLASS_COUNTS = {"path:4": 21, "path:6": 133, "linear:3,2": 15,
+                "linear:2,2,2": 81, "star:3": 29, "stars:2,2": 81,
+                "broom:5,1": 108}
+
+
+@pytest.mark.parametrize("spec, count", CLASS_COUNTS.items())
 def test_pattern_free_class_counts(spec, count):
     # n = 7 has many vertices tied on the pre-test's invariant
     matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
@@ -170,6 +173,54 @@ def test_canonical_deletion_filter_fires(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_code", counted)
     assert len(_classes(7, None, _Counts())) == 1044
     assert calls <= 7195 // 4
+
+
+def classes_canonizing_all(k, matcher):
+    """Reference dedup: canonize every extension passing the pre-test and
+    keep the first arrival of each class."""
+    classes = [()]
+    for j in range(1, k + 1):
+        seen = {}
+        for rows in _extensions(classes, j, matcher, _Counts()):
+            if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
+                g = Graph._trusted(j, tuple(rows))
+                seen.setdefault(canonical_code(g), g.rows)
+        classes = list(seen.values())
+    return classes
+
+
+@pytest.mark.parametrize("spec", [*CLASS_COUNTS, None])
+def test_degree_sequence_dedup_matches_canonizing_every_extension(spec):
+    # the same representatives in the same order, so everything built on
+    # them (matcher calls, counters, maximizers) is unchanged
+    matcher = (None if spec is None
+               else AnchoredMatcher(parse_pattern(spec).edge_list()))
+    for k in range(1, 8):
+        assert (_classes(k, matcher, _Counts())
+                == classes_canonizing_all(k, matcher)), k
+
+
+@pytest.mark.parametrize("spec, n, meta, calls_canonizing_all", [
+    ("path:6", 6, (783, 425), 70),
+    ("stars:2,2", 7, (2469, 1837), 127),
+    ("linear:3,2", 8, (1120, 951), 67),
+])
+def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
+                                 calls_canonizing_all):
+    # calls_canonizing_all: canonical_code calls when every extension
+    # passing the pre-test is canonized, at every level
+    calls = 0
+    real = oracle.canonical_code
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(oracle, "canonical_code", counted)
+    rep = max_ep(n, parse_pattern(spec), 2)
+    assert (rep.graphs_visited, rep.pruned) == meta
+    assert calls <= calls_canonizing_all // 2
 
 
 def test_extensions_keep_one_mask_per_twin_orbit():
