@@ -24,18 +24,33 @@ automorphism of the base, so masks that differ only within twin classes
 give isomorphic extensions, and each such orbit keeps exactly one
 twin-ordered mask, the one taking every class lowest index first.
 
-Each mask is tested through its highest edge only.  Dropping that edge
-gives a smaller mask of the same class, decided earlier (and still
-twin-ordered: no vertex left in it has the dropped, highest one as a
-lower twin): if it was rejected, so is this one, untested; if not, every
-copy of the pattern uses the new edge, and one
-`AnchoredMatcher.contains_through` call on it decides.  The last level
-needs no deduplication: each extension's e_p is compared with the running
-maximum, the extensions reaching it are kept (and dropped when the
-maximum rises), and only those left at the end get a canonical code.  A
-maximizer is reported by its canonical code and by the graph6 string of
-the graph that code spells, which is the least graph6 string over its
-labellings.
+A mask is decided from its submasks with one neighbour fewer first, all
+of them smaller and so decided earlier.  Dropping the highest neighbour
+keeps the mask twin-ordered (no vertex left in it has the dropped,
+highest one as a lower twin), so that submask always has a verdict; the
+others have one when they are twin-ordered too.  If any submask with a
+verdict was rejected, so is the mask, untested, because base + v with
+N(v) = mask - u is a subgraph of base + v.  Otherwise each free submask
+mask - u forces the edge v-u: a copy of the pattern in base + v that
+misses v-u is a copy in base + v with N(v) = mask - u, which has none.
+So every copy sends to v a pattern vertex of degree at least the number
+f of forced edges.  When f exceeds the pattern's maximum degree the mask
+is free without a matcher call; otherwise one
+`AnchoredMatcher.contains_through` call through the highest edge, told
+f, decides, skipping the plans whose vertex on v has a smaller degree.
+The rows of an extension are built only for that call and for the
+extensions a caller keeps.
+
+The last level needs no deduplication.  Each extension's e_p is computed
+from its base: the base's e_p, plus what the mask adds at the base's
+vertices (a degree d that becomes d + 1 adds (d + 1)^p - d^p, summed up
+the chain of highest-bit submasks, which were all yielded before the
+mask), plus |mask|^p for the new vertex.  Only extensions at or above the
+running maximum get their rows built; those reaching it and passing the
+pre-test below are kept (and dropped when the maximum rises), and only
+those left at the end get a canonical code.  A maximizer is reported by
+its canonical code and by the graph6 string of the graph that code
+spells, which is the least graph6 string over its labellings.
 
 Before an extension is bucketed or kept as a maximizer it must pass the
 canonical-deletion pre-test (McKay 1998; nauty's `geng` runs a similar
@@ -52,9 +67,9 @@ guards only which extensions are kept for canonization; the e_p
 comparison still sees every extension.
 
 The pre-test runs on what `_extensions` yields, after each mask's state
-is recorded, so the heredity chain stays whole.  It can change which
-labelling of a class is kept, and with it which masks the heredity chain
-rejects untested, so the number of matcher calls moves slightly; the two
+is recorded, so the submask verdicts stay whole.  It can change which
+labelling of a class is kept, and with it which masks are decided
+untested, so the number of matcher calls moves slightly; the two
 counters below count twin orbits of masks, which do not depend on the
 labelling, so they do not move.
 
@@ -67,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .formulas import formula_for_pattern
 from .graphs import (
@@ -129,33 +144,54 @@ class _Counts:
 
 def _extensions(classes: list[tuple[int, ...]], k: int,
                 matcher: AnchoredMatcher | None,
-                counts: _Counts) -> Iterator[list[int]]:
-    """Rows of every twin-ordered extension of the (k-1)-vertex classes by
-    a new vertex k-1 that stays pattern-free (every twin-ordered extension
-    when matcher is None)."""
+                counts: _Counts) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(base, mask) for every twin-ordered extension of the (k-1)-vertex
+    classes by a new vertex k-1 adjacent to mask that stays pattern-free
+    (every twin-ordered extension when matcher is None), masks of one base
+    in increasing order."""
     v = k - 1
+    maxdeg = 0 if matcher is None else max(matcher.pdeg)
     for base in classes:
         lower = lower_twins(base)
         # per mask: 0 kept, _REJECTED contains the pattern, _UNORDERED
         # holds a vertex without all of its lower twins
         state = bytearray(1 << v)
+        visited = pruned = 0
         for mask in range(1 << v):
-            below = 0
             if mask:
                 top = mask.bit_length() - 1
                 below = state[mask ^ 1 << top]
                 if below == _UNORDERED or lower[top] & ~mask:
                     state[mask] = _UNORDERED
                     continue
-            counts.visited += 1
-            rows = [row | (mask >> u & 1) << v for u, row in enumerate(base)]
-            rows.append(mask)
-            if mask and matcher is not None and (
-                    below or matcher.contains_through(k, rows, v, top)):
-                state[mask] = _REJECTED
-                counts.pruned += 1
-                continue
-            yield rows
+            visited += 1
+            if mask and matcher is not None:
+                # a rejected submask mask - u rejects the mask; a free one
+                # forces the edge v-u into every copy of the pattern
+                forced = 1
+                rest = mask ^ 1 << top
+                while rest and below != _REJECTED:
+                    low = rest & -rest
+                    rest ^= low
+                    below = state[mask ^ low]
+                    forced += not below
+                if below == _REJECTED or forced <= maxdeg and (
+                        matcher.contains_through(k, _rows(base, mask), v, top,
+                                                 forced)):
+                    state[mask] = _REJECTED
+                    pruned += 1
+                    continue
+            yield base, mask
+        counts.visited += visited
+        counts.pruned += pruned
+
+
+def _rows(base: tuple[int, ...], mask: int) -> list[int]:
+    """Rows of base extended by a new last vertex adjacent to mask."""
+    v = len(base)
+    rows = [row | (mask >> u & 1) << v for u, row in enumerate(base)]
+    rows.append(mask)
+    return rows
 
 
 def _new_vertex_largest(rows: list[int], deg: list[int]) -> bool:
@@ -185,7 +221,8 @@ def _classes(k: int, matcher: AnchoredMatcher | None,
         # sorted degree sequence -> its one uncanonized member, or None
         # once the sequence has met a second extension
         lone: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-        for rows in _extensions(classes, j, matcher, counts):
+        for base, mask in _extensions(classes, j, matcher, counts):
+            rows = _rows(base, mask)
             deg = [row.bit_count() for row in rows]
             if not _new_vertex_largest(rows, deg):
                 continue
@@ -227,22 +264,37 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
     if pattern.order() > n:
         # the host cannot hold the pattern: K_n is the unique maximizer
         full = (1 << n) - 1
-        finals: Iterable[list[int]] = [[full ^ 1 << v for v in range(n)]]
+        best = n * (n - 1) ** p
+        tied = [[full ^ 1 << v for v in range(n)]]
     else:
         matcher = AnchoredMatcher(pattern.edge_list())
-        finals = _extensions(_classes(n - 1, matcher, counts), n, matcher, counts)
-    best = -1
-    tied: list[list[int]] = []  # rows at the running best passing the pre-test
-    for rows in finals:
-        deg = [row.bit_count() for row in rows]
-        val = sum(d ** p for d in deg)
-        if val < best:
-            continue
-        if val > best:
-            best = val
-            tied = []
-        if _new_vertex_largest(rows, deg):
-            tied.append(rows)
+        power = [d ** p for d in range(n)]
+        # add[mask]: what the mask adds at the base's vertices, set for each
+        # yielded mask before any mask above it in the same base reads it
+        add = [0] * (1 << (n - 1))
+        best = -1
+        tied = []  # rows at the running best passing the pre-test
+        last = None
+        for base, mask in _extensions(_classes(n - 1, matcher, counts), n,
+                                      matcher, counts):
+            if base is not last:
+                last = base
+                bdeg = [row.bit_count() for row in base]
+                bval = sum(power[d] for d in bdeg)
+                # gain[u]: what the edge to the new vertex adds at u
+                gain = [power[d + 1] - power[d] for d in bdeg]
+            if mask:
+                top = mask.bit_length() - 1
+                add[mask] = add[mask ^ 1 << top] + gain[top]
+            val = bval + add[mask] + power[mask.bit_count()]
+            if val < best:
+                continue
+            if val > best:
+                best = val
+                tied = []
+            rows = _rows(base, mask)
+            if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
+                tied.append(rows)
     codes = {canonical_code(Graph._trusted(n, tuple(rows))) for rows in tied}
     maximizers = tuple(sorted((g6_encode(graph_from_code(code)), code.hex())
                               for code in codes))
@@ -309,7 +361,7 @@ def all_graphs(n: int):
 
 
 @lru_cache(maxsize=None)
-def nonisomorphic_graphs(n: int) -> list[Graph]:
+def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on n vertices: the
     oracle's extension loop with no pattern."""
-    return [Graph(n, rows) for rows in _classes(n, None, _Counts())]
+    return tuple(Graph(n, rows) for rows in _classes(n, None, _Counts()))

@@ -579,15 +579,17 @@ class AnchoredMatcher:
         self.pdeg = [m.bit_count() for m in padj]
         # per orbit of directed pattern edges: its first edge and the
         # embedding order of the remaining vertices, seeded with the two
-        # anchored endpoints
-        self.plans: list[tuple[int, int, list[tuple[int, int]]]] = []
+        # anchored endpoints, as (vertex, parent, pattern degree)
+        self.plans: list[tuple[int, int, list[tuple[int, int, int]]]] = []
         seen: set[tuple[str, str]] = set()
         for u, v in edges:
             for pu, pv in ((u, v), (v, u)):
                 key = (self._rooted_code(pu, pv), self._rooted_code(pv, pu))
                 if key not in seen:
                     seen.add(key)
-                    self.plans.append((pu, pv, self._plan(pu, pv)))
+                    order = [(w, par, self.pdeg[w])
+                             for w, par in self._plan(pu, pv)]
+                    self.plans.append((pu, pv, order))
 
     def _rooted_code(self, root: int, away: int) -> str:
         """AHU (Aho-Hopcroft-Ullman) code of the tree on root's side of the
@@ -614,37 +616,55 @@ class AnchoredMatcher:
             order += [(v, p) for v, p in sub if v in rest]
         return order
 
-    def contains_through(self, n: int, rows: list[int], a: int, b: int) -> bool:
+    def contains_through(self, n: int, rows: list[int], a: int, b: int,
+                         need: int = 1) -> bool:
         """Does the host (with edge ab present) contain the pattern using
-        edge ab?  Exact; assumes ab is an edge of rows."""
+        edge ab, with a pattern vertex of degree at least `need` on a?
+        Exact; assumes ab is an edge of rows."""
         if self.pn > n:
             return False
         pdeg = self.pdeg
-        image = [-1] * self.pn
-        full = (1 << n) - 1
-
-        # Each plan places a forest in BFS order, so a vertex's only placed
-        # pattern neighbour is its parent (a component root has none), and
-        # drawing candidates from the parent's image's row keeps every
-        # placed pattern edge on a host edge.
-        def bt(order: list[tuple[int, int]], i: int, used: int) -> bool:
-            if i == len(order):
-                return True
-            pv, par = order[i]
-            cands = rows[image[par]] & ~used if par >= 0 else ~used & full
-            for hv in iter_bits(cands):
-                if rows[hv].bit_count() < pdeg[pv]:
-                    continue
-                image[pv] = hv
-                if bt(order, i + 1, used | 1 << hv):
-                    return True
-            return False
-
+        deg = [row.bit_count() for row in rows]
+        # nbrs[w]: the host row of pattern vertex w's image; nbrs[-1] holds
+        # every host vertex, the candidates of a component root (parent -1)
+        nbrs = [0] * self.pn + [(1 << n) - 1]
+        picked = [0] * self.pn
+        cands = [0] * self.pn
         for pu, pv, order in self.plans:
-            if rows[a].bit_count() < pdeg[pu] or rows[b].bit_count() < pdeg[pv]:
+            if pdeg[pu] < need or deg[a] < pdeg[pu] or deg[b] < pdeg[pv]:
                 continue
-            image[pu] = a
-            image[pv] = b
-            if bt(order, 0, (1 << a) | (1 << b)):
+            if not order:
                 return True
+            nbrs[pu] = rows[a]
+            nbrs[pv] = rows[b]
+            used = 1 << a | 1 << b
+            last = len(order) - 1
+            # Each plan places a forest in BFS order, so a vertex's only
+            # placed pattern neighbour is its parent, and drawing candidates
+            # from the parent image's row keeps every placed pattern edge on
+            # a host edge.  cands[i] holds the untried candidates for
+            # order[i], picked[i] the bit of the one placed.
+            cands[0] = nbrs[order[0][1]] & ~used
+            i = 0
+            while True:
+                c = cands[i]
+                if c:
+                    low = c & -c
+                    cands[i] = c ^ low
+                    hv = low.bit_length() - 1
+                    w, _, d = order[i]
+                    if deg[hv] < d:
+                        continue
+                    if i == last:
+                        return True
+                    nbrs[w] = rows[hv]
+                    picked[i] = low
+                    used |= low
+                    i += 1
+                    cands[i] = nbrs[order[i][1]] & ~used
+                elif i:
+                    i -= 1
+                    used ^= picked[i]
+                else:
+                    break
         return False

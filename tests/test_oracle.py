@@ -12,6 +12,7 @@ from turanp.oracle import (
     _Counts,
     _extensions,
     _new_vertex_largest,
+    _rows,
     all_graphs,
     ex_classical,
     max_ep,
@@ -25,6 +26,7 @@ from turanp.patterns import (
     LinearForestPattern,
     PathPattern,
     StarForestPattern,
+    contains_forest_generic,
     is_free,
     parse_pattern,
 )
@@ -147,6 +149,13 @@ def test_nonisomorphic_counts():
             == [1, 1, 2, 4, 11, 34, 156, 1044, 12346])
 
 
+def test_nonisomorphic_graphs_cannot_be_changed_by_a_caller():
+    first = nonisomorphic_graphs(4)
+    with pytest.raises(AttributeError):
+        first.append(None)
+    assert nonisomorphic_graphs(4) == first and len(first) == 11
+
+
 CLASS_COUNTS = {"path:4": 21, "path:6": 133, "linear:3,2": 15,
                 "linear:2,2,2": 81, "star:3": 29, "stars:2,2": 81,
                 "broom:5,1": 108}
@@ -181,7 +190,8 @@ def classes_canonizing_all(k, matcher):
     classes = [()]
     for j in range(1, k + 1):
         seen = {}
-        for rows in _extensions(classes, j, matcher, _Counts()):
+        for base, mask in _extensions(classes, j, matcher, _Counts()):
+            rows = _rows(base, mask)
             if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
                 g = Graph._trusted(j, tuple(rows))
                 seen.setdefault(canonical_code(g), g.rows)
@@ -221,6 +231,50 @@ def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
     rep = max_ep(n, parse_pattern(spec), 2)
     assert (rep.graphs_visited, rep.pruned) == meta
     assert calls <= calls_canonizing_all // 2
+
+
+@pytest.mark.parametrize("spec, n, want, calls_top_edge_only", [
+    ("path:6", 6, 343, 390),
+    ("stars:2,2", 7, 668, 796),
+    ("linear:3,2", 8, 216, 232),
+])
+def test_forced_edges_save_matcher_calls(monkeypatch, spec, n, want,
+                                         calls_top_edge_only):
+    # calls_top_edge_only: contains_through calls when every mask whose
+    # top-dropped submask is free goes to the matcher
+    calls = 0
+    real = AnchoredMatcher.contains_through
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(AnchoredMatcher, "contains_through", counted)
+    max_ep(n, parse_pattern(spec), 2)
+    assert calls == want
+    assert calls < calls_top_edge_only
+
+
+@pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",
+                                  "stars:1,1"])
+def test_extensions_keep_exactly_the_free_masks(spec):
+    # heredity and the forced-edge check decide masks without the matcher;
+    # every verdict must still equal a full containment test
+    edges = parse_pattern(spec).edge_list()
+    matcher = AnchoredMatcher(edges)
+    for k in range(1, 8):
+        bases = _classes(k - 1, matcher, _Counts())
+        free, held = [], 0
+        for base, mask in _extensions(bases, k, None, _Counts()):
+            g = Graph._trusted(k, tuple(_rows(base, mask)))
+            if contains_forest_generic(g, edges) is False:
+                free.append((base, mask))
+            else:
+                held += 1
+        counts = _Counts()
+        assert list(_extensions(bases, k, matcher, counts)) == free, k
+        assert (counts.visited, counts.pruned) == (len(free) + held, held), k
 
 
 def test_extensions_keep_one_mask_per_twin_orbit():

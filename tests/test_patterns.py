@@ -1,6 +1,7 @@
 """Detectors: frozen examples, cross-checks against the generic matcher,
 budget behaviour, and structural invariants."""
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -261,19 +262,27 @@ def test_anchored_matcher_agrees_with_generic():
 
 
 def _through_edges(n, rows, edges, pn):
-    """Host edges {a, b} onto which some injective map of the pattern into
-    the host sends a pattern edge, by trying every map."""
-    through = set()
+    """Directed host edges (x, y) onto which some injective map of the
+    pattern into the host sends a pattern edge (u, w), each with the
+    largest degree of such a u, by trying every map."""
+    pdeg = Counter(v for e in edges for v in e)
+    through = {}
     for image in permutations(range(n), pn):
         if all(rows[image[u]] >> image[v] & 1 for u, v in edges):
-            through |= {frozenset((image[u], image[v])) for u, v in edges}
+            for e in edges:
+                for u, w in (e, e[::-1]):
+                    xy = (image[u], image[w])
+                    through[xy] = max(through.get(xy, 0), pdeg[u])
     return through
 
 
 def test_anchored_matcher_is_exact():
+    # with need, only copies with a pattern vertex of degree >= need on
+    # the first endpoint count
     rng = random.Random(37)
     pats = [parse_pattern(t) for t in ("stars:2,2", "linear:2,2,2", "star:3",
                                        "broom:5,1", "linear:3,2", "path:5")]
+    seen_need = set()
     for pat in pats:
         edges = pat.edge_list()
         matcher = AnchoredMatcher(edges)
@@ -282,13 +291,21 @@ def test_anchored_matcher_is_exact():
             n = rng.randint(pat.order() - 1, 7)
             g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
             want = _through_edges(n, g.rows, edges, pat.order())
+            rows = list(g.rows)
             for a, b in g.edges():
                 for x, y in ((a, b), (b, a)):
-                    got = matcher.contains_through(n, list(g.rows), x, y)
-                    assert got == (frozenset((a, b)) in want), (
-                        f"pat={pat.text()}, g={list(g.edges())}, edge={x, y}")
+                    where = f"pat={pat.text()}, g={list(g.edges())}, edge={x, y}"
+                    best = want.get((x, y), 0)  # 0: no copy through xy
+                    got = matcher.contains_through(n, rows, x, y)
+                    assert got == (best > 0), where
                     seen.add(got)
+                    for need in (1, 2, 3):
+                        got = matcher.contains_through(n, rows, x, y, need)
+                        assert got == (best >= need), (where, need)
+                        seen_need.add((need, got))
         assert seen == {True, False}, pat.text()
+    assert seen_need == {(need, got) for need in (1, 2, 3)
+                         for got in (True, False)}
 
 
 def _edge_orbits(edges, pn):
