@@ -249,18 +249,39 @@ def canonical_code(g: Graph) -> bytes:
     (upper triangle, column-major), which is also the least graph6 string
     of the class.  Column j of an ordering is the word of the j-th placed
     vertex: its adjacency to the vertices placed before it, the first
-    placed vertex being the most significant bit.
+    placed vertex being the most significant bit.  Column j has j bits, so
+    codes compare as their lists of column words.
 
-    Branch-and-bound over orderings grown one vertex at a time.  A search
-    node keeps each unplaced vertex's word; placing u extends every word by
-    one bit (its adjacency to u).  The node's next code word is the least
-    word, and only vertices holding it are branched on, because any other
-    choice makes the code larger at this column.  Among those, open and
-    closed twins with respect to the unplaced vertices are interchangeable,
-    so one per twin class is placed.  A node is ``tight`` while its code
-    prefix equals the best code's; a tight node whose least word exceeds
-    the best code's word at that column is cut.  Intended for the oracle
-    range; capped at CANON_CAP vertices.
+    Branch-and-bound over orderings grown one vertex at a time, depth first
+    from an explicit stack.  A search node at depth d holds the unplaced
+    vertices as cells: (word, mask) pairs, one per distinct d-bit word, in
+    ascending word order.  Placing u splits every cell into the vertices
+    not adjacent to u (word w << 1) and those adjacent to it (w << 1 | 1),
+    which keeps the order, so the first cell holds the least word.  Column
+    d must be that word, so only the first cell's vertices are branched on,
+    one per class of open or closed twins with respect to the unplaced
+    vertices (swapping two of them is an automorphism that fixes every
+    placed vertex).  A child is pushed as (depth, parent cells, row of the
+    vertex placed, unplaced set, tight) and built only when popped: its
+    least word comes from the parent's first one or two cells, so a child
+    cut at once costs no split.
+
+    A node is ``tight`` while its code prefix equals the best code's.  A
+    tight node whose least word exceeds the best code's word at that column
+    is cut.  One that survives meets a lower bound (``_bound_cuts``): words
+    only grow by appending bits, so two unplaced vertices never change
+    order, and every ordering below the node places them in ascending order
+    of their present words.  The top d bits of columns d, d + 1, ... are
+    thus the node's words sorted with multiplicity, s_0 <= s_1 <= ..., and
+    column d + k is at least s_k << k.
+
+    Children are searched fewest unplaced neighbours first, which tends to
+    reach a small code early.  The order changes which subtrees are cut but
+    not the result, because a subtree is cut only when none of its leaves
+    is below a code already found.  The first child searched inherits the
+    node's tightness.  When its subtree is done, the best code has the
+    node's prefix, so the later siblings start tight.  Intended for the
+    oracle range; capped at CANON_CAP vertices.
     """
     n = g.n
     if n > CANON_CAP:
@@ -268,51 +289,71 @@ def canonical_code(g: Graph) -> bytes:
     if n <= 1:
         return bytes([n])
     rows = g.rows
-    # bits[u][v]: the bit that placing u appends to v's word.  bits[u][u]
-    # is `placed`, which lifts u's word above every unplaced vertex's word
-    # (those stay below 2**(n-1)), so min() and the candidate scan skip it.
-    placed = 1 << n
-    bits = [tuple(placed if v == u else rows[u] >> v & 1 for v in range(n))
-            for u in range(n)]
+    last = n - 1
     path = [0] * n  # code word per column on the current ordering
     best: list[int] = []
-
-    def rec(depth: int, rest: int, words: list[int], tight: bool) -> None:
-        nonlocal best
-        m = min(words)
-        if tight:
-            if m > best[depth]:
-                return
-            tight = m == best[depth]
-        path[depth] = m
-        if depth == n - 1:
-            if not tight:
-                best = path.copy()
-            return
-        if words.count(m) == 1:  # one candidate, no twins to skip
-            u = words.index(m)
-            rec(depth + 1, rest ^ 1 << u,
-                [x << 1 | b for x, b in zip(words, bits[u])], tight)
-            return
-        # the candidates share the word m, so they agree on the placed
-        # vertices and twin keys need only their unplaced neighbours
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        for u, w in enumerate(words):
-            if w != m:
+    stack: list[tuple[int, list[tuple[int, int]], int, int, bool]] = []
+    full = (1 << n) - 1
+    depth, cells, rest, tight = 0, [(0, full)], full, False
+    while True:
+        # push the node's children, the one to search first on top
+        cand = cells[0][1]
+        depth += 1
+        if cand & (cand - 1):
+            # the candidates share a word, so twin keys need only their
+            # unplaced neighbours.  One set holds both kinds of key: an open
+            # key N(v) equal to a closed key N[w] would put w in N(v), so v
+            # in N[w] = N(v), a loop
+            seen = set()
+            order = []
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                row = rows[low.bit_length() - 1]
+                key = row & rest
+                if key in seen or key | low in seen:
+                    continue
+                seen.add(key)
+                seen.add(key | low)
+                order.append((key.bit_count(), low, row))
+            order.sort(reverse=True)
+            _, cand, row = order.pop()
+            for _, low, other in order:
+                stack.append((depth, cells, other, rest ^ low, True))
+        else:
+            row = rows[cand.bit_length() - 1]
+        stack.append((depth, cells, row, rest ^ cand, tight))
+        # pop children until one survives its cuts and is not a leaf
+        while stack:
+            depth, cells, row, rest, tight = stack.pop()
+            zero = rest & ~row  # the unplaced vertices whose words get a 0
+            w, mask = cells[0]
+            if not mask & rest:  # the placed vertex was alone in its cell
+                w, mask = cells[1]
+            m = w << 1 if mask & zero else w << 1 | 1
+            if tight:
+                if m > best[depth]:
+                    continue
+                tight = m == best[depth]
+            path[depth] = m
+            if depth == last:
+                if not tight:
+                    best = path.copy()
                 continue
-            open_key = rows[u] & rest
-            closed_key = open_key | 1 << u
-            if open_key in seen_open or closed_key in seen_closed:
-                continue  # interchangeable with an earlier candidate
-            seen_open.add(open_key)
-            seen_closed.add(closed_key)
-            rec(depth + 1, rest ^ 1 << u,
-                [x << 1 | b for x, b in zip(words, bits[u])], tight)
-            # the subtree just searched ends at the best code's prefix
-            tight = True
-
-    rec(0, (1 << n) - 1, [0] * n, False)
+            split = []
+            for w, mask in cells:
+                lo = mask & zero
+                hi = mask & row
+                if lo:
+                    split.append((w << 1, lo))
+                if hi:
+                    split.append((w << 1 | 1, hi))
+            cells = split
+            if tight and _bound_cuts(cells, best, depth):
+                continue
+            break
+        else:
+            break
     code = 0
     for column, word in enumerate(best):
         code = code << column | word
@@ -321,14 +362,47 @@ def canonical_code(g: Graph) -> bytes:
     return bytes([n]) + (code << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
 
 
+def _bound_cuts(cells: list[tuple[int, int]], best: list[int], depth: int) -> bool:
+    """Whether no leaf below a tight node at ``depth`` can beat ``best``.
+
+    Column depth + k of every leaf is at least s_k << k, s the node's words
+    sorted with multiplicity (see ``canonical_code``).  Compared column by
+    column: a greater bound makes every leaf larger, a smaller one decides
+    nothing, and an equal one passes to the next column.  If every column
+    is equal, every leaf is at least ``best``.
+    """
+    c = depth
+    for w, mask in cells:
+        for _ in range(mask.bit_count()):
+            bound = w << (c - depth)
+            if bound > best[c]:
+                return True
+            if bound < best[c]:
+                return False
+            c += 1
+    return True
+
+
 def graph_from_code(code: bytes) -> Graph:
     """The graph spelled by a ``canonical_code``: vertex j is the j-th
     vertex of the minimising ordering.  Its bitstring is the same column-
     major upper triangle that graph6 packs, so ``g6_encode`` of the result
-    is the least graph6 string over all labellings."""
+    is the least graph6 string over all labellings.  Strict: the code must
+    be one byte n, then the n(n-1)/2 bits packed into whole bytes with zero
+    padding."""
+    if not code:
+        raise ValueError("empty canonical code")
     n = code[0]
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 7) // 8
+    if len(code) != 1 + nbytes:
+        raise ValueError(f"canonical code of {len(code)} bytes, expected "
+                         f"{1 + nbytes} for n={n}")
     bits = int.from_bytes(code[1:], "big")
-    k = 8 * (len(code) - 1)  # bits left to read, most significant first
+    pad = 8 * nbytes - nbits
+    if bits & ((1 << pad) - 1):
+        raise ValueError("nonzero padding bits in canonical code")
+    k = 8 * nbytes  # bits left to read, most significant first
     rows = [0] * n
     for j in range(1, n):
         for i in range(j):

@@ -1,4 +1,5 @@
 """Graph core: degree powers, dominance, union/join, canonical codes, graph6."""
+import gc
 import itertools
 import random
 
@@ -24,11 +25,19 @@ from turanp.graphs import (
 from turanp.families import (
     complete_graph,
     empty_graph,
+    friendship_graph,
+    g_star_join,
+    h_linear_forest,
     h_path,
+    k_join_matching,
     matching_graph,
+    near_regular,
     path_graph,
     star_graph,
+    turan_graph,
+    unbalanced_bipartite,
 )
+from turanp.oracle import nonisomorphic_graphs
 
 
 @st.composite
@@ -292,6 +301,115 @@ def test_canonical_code_matches_reference():
         battery.append(Graph.from_edges(10, rng.sample(pairs, 9 + k % 6)))
     for g in battery:
         assert canonical_code(g) == _reference_canonical_code(g), g6_encode(g)
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full ^ row ^ 1 << v for v, row in enumerate(g.rows)))
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n into parts of at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for tail in partitions(n - part, part):
+            yield (part,) + tail
+
+
+def clique_union(parts) -> Graph:
+    g = empty_graph(0)
+    for size in parts:
+        g = disjoint_union(g, complete_graph(size))
+    return g
+
+
+def extremal_hosts(max_n: int) -> list[Graph]:
+    """The families constructions on at most max_n vertices, over all
+    their parameters."""
+    hosts = []
+    for n in range(1, max_n + 1):
+        hosts += [turan_graph(n, r) for r in range(1, n + 1)]
+        hosts += [near_regular(n, d) for d in range(n)]
+        hosts += [k_join_matching(n, k) for k in range(1, n + 1)]
+        hosts += [g_star_join(n, i, r) for i in range(1, n + 1)
+                  for r in range(1, n - i + 2)]
+        hosts += [h_path(n, ell) for ell in range(4, n + 1)]
+        for total in range(2, n + 1):
+            hosts += [h_linear_forest(n, list(lengths))
+                      for lengths in partitions(total) if min(lengths) >= 2]
+        if n >= 6:
+            hosts.append(unbalanced_bipartite(n))
+        if n >= 3 and n % 2:
+            hosts.append(friendship_graph(n))
+    return hosts
+
+
+def test_canonical_code_matches_reference_on_ties():
+    # graphs with many automorphisms, where tied words, twin classes and
+    # equal lower bounds are the rule: every class on 7 vertices, the
+    # extremal hosts and their complements, disjoint unions of cliques and
+    # complete multipartite graphs, each under a seeded relabelling
+    rng = random.Random(1801)
+    hosts = extremal_hosts(CANON_CAP)
+    cliques = [clique_union(parts) for n in range(1, CANON_CAP + 1)
+               for parts in partitions(n)]
+    battery = (list(nonisomorphic_graphs(7)) + hosts + [complement(g) for g in hosts]
+               + cliques + [complement(g) for g in cliques])
+    assert len(battery) > 2000
+    for g in battery:
+        h = relabelled(g, rng)
+        assert canonical_code(h) == _reference_canonical_code(h), g6_encode(h)
+        assert canonical_code(g) == canonical_code(h), g6_encode(g)
+
+
+def test_canonical_code_leaves_no_cyclic_garbage():
+    # the search holds no reference cycles, so reference counting frees
+    # everything it builds and the cyclic collector finds nothing
+    rng = random.Random(5)
+    battery = [random_graph(rng, n, rng.random()) for n in range(CANON_CAP + 1)
+               for _ in range(20)]
+    battery += [complete_graph(CANON_CAP), empty_graph(CANON_CAP),
+                turan_graph(CANON_CAP, 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in battery:
+            canonical_code(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_graph_from_code_round_trips():
+    rng = random.Random(13)
+    battery = [random_graph(rng, n, rng.random()) for n in range(CANON_CAP + 1)
+               for _ in range(20)]
+    battery += [complete_graph(n) for n in range(CANON_CAP + 1)]
+    for g in battery:
+        code = canonical_code(g)
+        h = graph_from_code(code)
+        assert canonical_code(h) == code
+        assert g6_encode(h) == g6_encode(graph_from_code(canonical_code(relabelled(g, rng))))
+
+
+@pytest.mark.parametrize("code, message", [
+    (b"", "empty"),
+    (bytes([5]), "expected 3"),  # n = 5 has 10 bits: two bytes after n
+    (bytes.fromhex("05000000"), "expected 3"),  # one byte too many
+    (bytes.fromhex("03ff"), "padding"),  # K_3 spelled with the pad set
+    (bytes.fromhex("0201"), "padding"),
+    (bytes.fromhex("0100"), "expected 1"),
+], ids=["empty", "short", "surplus-byte", "padding-n3", "padding-n2", "surplus-n1"])
+def test_graph_from_code_is_strict(code, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_code(code)
 
 
 def test_canonical_cap():
