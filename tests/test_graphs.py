@@ -323,7 +323,7 @@ def partitions(n: int, largest: int | None = None):
             yield (part,) + tail
 
 
-def clique_union(parts) -> Graph:
+def union_of_cliques(parts) -> Graph:
     g = empty_graph(0)
     for size in parts:
         g = disjoint_union(g, complete_graph(size))
@@ -358,7 +358,7 @@ def test_canonical_code_matches_reference_on_ties():
     # complete multipartite graphs, each under a seeded relabelling
     rng = random.Random(1801)
     hosts = extremal_hosts(CANON_CAP)
-    cliques = [clique_union(parts) for n in range(1, CANON_CAP + 1)
+    cliques = [union_of_cliques(parts) for n in range(1, CANON_CAP + 1)
                for parts in partitions(n)]
     battery = (list(nonisomorphic_graphs(7)) + hosts + [complement(g) for g in hosts]
                + cliques + [complement(g) for g in cliques])
@@ -388,15 +388,14 @@ def test_canonical_code_leaves_no_cyclic_garbage():
 
 
 def test_graph_from_code_round_trips():
+    # a code decodes to a graph of the same class: the code's own labelling
     rng = random.Random(13)
     battery = [random_graph(rng, n, rng.random()) for n in range(CANON_CAP + 1)
                for _ in range(20)]
     battery += [complete_graph(n) for n in range(CANON_CAP + 1)]
     for g in battery:
         code = canonical_code(g)
-        h = graph_from_code(code)
-        assert canonical_code(h) == code
-        assert g6_encode(h) == g6_encode(graph_from_code(canonical_code(relabelled(g, rng))))
+        assert canonical_code(graph_from_code(code)) == code
 
 
 @pytest.mark.parametrize("code, message", [
