@@ -117,7 +117,10 @@ def cmd_free(args) -> int:
 
 _FORMULAS: dict[str, tuple[tuple[str, ...], object]] = {
     "ex_path": (("n", "ell"), lambda a: formulas.ex_path(a.n, a.ell)),
-    "eg_bound": (("n", "ell"), None),
+    "eg_bound": (("n", "ell"),
+                 lambda a: formulas.FormulaResult(
+                     formulas.eg_bound(a.n, a.ell), True, "upper bound, all n",
+                     "erdos-gallai-1959")),
     "ex_linear_forest": (("n", "lengths"),
                          lambda a: formulas.ex_linear_forest(a.n, a.lengths)),
     "ex_kP3": (("n", "k"), lambda a: formulas.ex_kP3(a.n, a.k)),
@@ -150,12 +153,6 @@ def cmd_formula(args) -> int:
         print(f"error: formula {args.name} needs {' '.join(missing)}",
               file=sys.stderr)
         return 2
-    if args.name == "eg_bound":
-        value = formulas.eg_bound(args.n, args.ell)
-        obj = {"value": str(value), "in_window": True,
-               "window": "upper bound, all n", "source": "erdos-gallai-1959"}
-        _emit_json(obj)
-        return 0
     res = fn(args)
     if isinstance(res, formulas.UnspecifiedBase) and args.resolve_base:
         if res.base_n <= oracle.ORACLE_CAP:

@@ -402,15 +402,47 @@ def graph_from_code(code: bytes) -> Graph:
     pad = 8 * nbytes - nbits
     if bits & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in canonical code")
-    k = 8 * nbytes  # bits left to read, most significant first
+    return Graph(n, _triangle_rows(n, bits >> pad))
+
+
+# ---------------------------------------------------------------------
+# the upper-triangle bitstring shared by canonical codes and graph6
+# ---------------------------------------------------------------------
+
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # b's bits reversed
+
+
+def _triangle_bits(rows: Sequence[int]) -> int:
+    """The upper triangle of ``rows`` as one n(n-1)/2-bit integer, column
+    major: column j (j = 1..n-1) is vertex j's adjacency to 0..j-1, vertex
+    0 first, and the first bit of column 1 is the most significant.  The
+    columns are cut from the rows back to front (pair (i, j) at bit
+    j(j-1)/2 + i), and one byte-wise reversal turns the string round."""
+    n = len(rows)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 7) // 8
+    reverse = 0
+    for j in range(n - 1, 0, -1):
+        reverse = reverse << j | rows[j] & ((1 << j) - 1)
+    flipped = reverse.to_bytes(nbytes, "little").translate(_BIT_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * nbytes - nbits)
+
+
+def _triangle_rows(n: int, bits: int) -> tuple[int, ...]:
+    """The adjacency rows spelled by an n-vertex ``_triangle_bits`` value
+    (which must fit in n(n-1)/2 bits)."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 7) // 8
+    flipped = (bits << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    reverse = int.from_bytes(flipped.translate(_BIT_REVERSED), "little")
     rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            k -= 1
-            if bits >> k & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+        column = reverse & ((1 << j) - 1)
+        reverse >>= j
+        rows[j] |= column
+        for i in iter_bits(column):
+            rows[i] |= 1 << j
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------
@@ -425,22 +457,14 @@ def g6_encode(g: Graph) -> str:
     adjacency bits in column-major order packed 6 per byte, offset by 63."""
     n = g.n
     if n <= 62:
-        out = [chr(63 + n)]
+        header = chr(63 + n)
     else:
-        out = [chr(126)]
-        out += [chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)]
-    bits: list[int] = []
-    for j in range(1, n):
-        col = g.rows[j]
-        bits.extend(col >> i & 1 for i in range(j))
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
-    return "".join(out)
+        header = chr(126) + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits = _triangle_bits(g.rows) << (6 * groups - nbits)
+    return header + "".join(chr(63 + (bits >> shift & 63))
+                            for shift in range(6 * groups - 6, -1, -6))
 
 
 def g6_decode(s: str | bytes) -> Graph:
@@ -479,18 +503,10 @@ def g6_decode(s: str | bytes) -> Graph:
         raise Graph6Error(
             f"graph6 payload length {len(payload)}, expected {expect} for n={n}"
         )
-    bits: list[int] = []
+    bits = 0
     for c in payload:
-        val = ord(c) - 63
-        bits.extend(val >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+        bits = bits << 6 | ord(c) - 63
+    pad = 6 * expect - nbits
+    if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits in graph6 payload")
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, _triangle_rows(n, bits >> pad))

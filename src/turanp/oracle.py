@@ -313,11 +313,8 @@ def max_ep_exhaustive(n: int, pattern: ForestPattern, p: int) -> int:
     """Maximum e_p over ALL pattern-free labeled graphs, by sheer
     enumeration (soundness reference for the isomorph-free search;
     practical only for n <= 6)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
     best = -1
-    for mask in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
-                                 if mask >> k & 1])
+    for g in all_graphs(n):
         if is_free(g, pattern) is True:
             best = max(best, sum(d ** p for d in g.degrees()))
     return best

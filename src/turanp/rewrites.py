@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from .graphs import Graph, iter_bits
 
 KINDS = ("edge", "triangle", "diamond", "spindle", "spindle_plus")
+# peripherals per kind; a spindle has its hub and any t >= 2 leaves
+_SIZE = {"edge": 1, "triangle": 2, "diamond": 3}
 
 
 class SiteError(ValueError):
@@ -107,39 +109,44 @@ def find_sites(g: Graph, v: int) -> list[PendentSite]:
     return sites
 
 
+def _structure_edges(site: PendentSite) -> list[tuple[int, int]]:
+    """The edges of the structure a site names.  Each leaf is joined to
+    the anchor x and, for a diamond or spindle, to the hub z; a triangle
+    or diamond adds the rim edge between its two leaves, a spindle+ the
+    edge xz."""
+    kind = site.kind
+    if kind in ("edge", "triangle"):
+        ends, leaves = (site.x,), site.vertices
+    else:
+        ends, leaves = (site.x, site.vertices[0]), site.vertices[1:]
+    edges = [(a, y) for a in ends for y in leaves]
+    if kind in ("triangle", "diamond"):
+        edges.append(leaves)
+    if kind == "spindle_plus":
+        edges.append(ends)
+    return edges
+
+
 def _validate_site(g: Graph, v: int, site: PendentSite) -> None:
-    x = site.x
     verts = site.all_vertices()
     if v in verts or len(set(verts)) != len(verts):
         raise SiteError("site vertices must be distinct and exclude v")
     if any(not 0 <= u < g.n for u in verts):
         raise SiteError("site vertex out of range")
-    kind = site.kind
-    ok = False
-    if kind == "edge":
-        (y,) = site.vertices
-        ok = g.has_edge(x, y) and _exact_neighbors(g, y, {x})
-    elif kind == "triangle":
-        y, yp = site.vertices
-        ok = (g.has_edge(x, y) and g.has_edge(x, yp) and g.has_edge(y, yp)
-              and _exact_neighbors(g, y, {x, yp}) and _exact_neighbors(g, yp, {x, y}))
-    elif kind == "diamond":
-        z, y, yp = site.vertices
-        ok = (g.has_edge(x, y) and g.has_edge(x, yp) and g.has_edge(y, yp)
-              and g.has_edge(z, y) and g.has_edge(z, yp) and not g.has_edge(x, z)
-              and _exact_neighbors(g, z, {y, yp})
-              and _exact_neighbors(g, y, {x, z, yp})
-              and _exact_neighbors(g, yp, {x, z, y}))
-    else:
-        z, *ys = site.vertices
-        plus = kind == "spindle_plus"
-        ok = (len(ys) >= 2
-              and g.has_edge(x, z) == plus
-              and all(g.has_edge(x, y) and g.has_edge(z, y) for y in ys)
-              and _exact_neighbors(g, z, set(ys) | ({x} if plus else set()))
-              and all(_exact_neighbors(g, y, {x, z}) for y in ys))
-    if not ok:
-        raise SiteError(f"stale or invalid {kind} site at x={x}")
+    invalid = SiteError(f"stale or invalid {site.kind} site at x={site.x}")
+    size = len(site.vertices)
+    if (size != _SIZE[site.kind] if site.kind in _SIZE else size < 3):
+        raise invalid
+    # each peripheral's neighbours are exactly its structure neighbours;
+    # every structure edge has a peripheral end, so all of them are present
+    inside = dict.fromkeys(site.vertices, 0)
+    for a, b in _structure_edges(site):
+        if a in inside:
+            inside[a] |= 1 << b
+        if b in inside:
+            inside[b] |= 1 << a
+    if any(g.rows[u] != mask for u, mask in inside.items()):
+        raise invalid
 
 
 def apply_rewrite(g: Graph, v: int, site: PendentSite, ell: int, s: int) -> Graph:
@@ -156,33 +163,13 @@ def apply_rewrite(g: Graph, v: int, site: PendentSite, ell: int, s: int) -> Grap
         raise SiteError("v must have maximum degree")
     if dv < ell + s - 1:
         raise SiteError(f"need d(v) >= ell+s-1 = {ell + s - 1}, have {dv}")
-    x = site.x
-    kind = site.kind
-    if kind == "edge":
-        (y,) = site.vertices
-        remove = [(x, y)]
-        add = [(v, y)]
-    elif kind == "triangle":
-        y, yp = site.vertices
-        remove = [(x, y), (x, yp), (y, yp)]
-        add = [(v, y), (v, yp)]
-    elif kind == "diamond":
-        z, y, yp = site.vertices
-        remove = [(x, y), (x, yp), (z, y), (z, yp), (y, yp)]
-        add = [(v, z), (v, y), (v, yp)]
-    else:
-        z, *ys = site.vertices
-        remove = [(x, y) for y in ys] + [(z, y) for y in ys]
-        if kind == "spindle_plus":
-            remove.append((x, z))
-        add = [(v, z)] + [(v, y) for y in ys]
     rows = list(g.rows)
-    for u, w in remove:
-        rows[u] &= ~(1 << w)
-        rows[w] &= ~(1 << u)
-    for u, w in add:
-        rows[u] |= 1 << w
-        rows[w] |= 1 << u
+    for a, b in _structure_edges(site):
+        rows[a] &= ~(1 << b)
+        rows[b] &= ~(1 << a)
+    for u in site.vertices:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return Graph(g.n, tuple(rows))
 
 
@@ -199,32 +186,11 @@ def demo_instance(kind: str, ell: int, s: int,
     v = 0
     edges = [(v, i) for i in range(1, base + 1)]
     x = rng.randint(1, base)
-    nxt = base + 1
-    if kind == "edge":
-        peripherals = (nxt,)
-        edges.append((x, nxt))
-        nxt += 1
-    elif kind == "triangle":
-        y, yp = nxt, nxt + 1
-        peripherals = (y, yp)
-        edges += [(x, y), (x, yp), (y, yp)]
-        nxt += 2
-    elif kind == "diamond":
-        z, y, yp = nxt, nxt + 1, nxt + 2
-        peripherals = (z, y, yp)
-        edges += [(x, y), (x, yp), (z, y), (z, yp), (y, yp)]
-        nxt += 3
-    else:
-        t = rng.randint(2, 3)
-        z = nxt
-        ys = tuple(range(nxt + 1, nxt + 1 + t))
-        peripherals = (z, *ys)
-        edges += [(x, y) for y in ys] + [(z, y) for y in ys]
-        if kind == "spindle_plus":
-            edges.append((x, z))
-        nxt += 1 + t
+    size = _SIZE[kind] if kind in _SIZE else 1 + rng.randint(2, 3)
+    site = PendentSite(kind, x, tuple(range(base + 1, base + 1 + size)), v)
+    edges += _structure_edges(site)
+    nxt = base + 1 + size
     for _ in range(rng.randint(0, 2)):
         edges.append((v, nxt))
         nxt += 1
-    g = Graph.from_edges(nxt, edges)
-    return g, v, PendentSite(kind, x, peripherals, v)
+    return Graph.from_edges(nxt, edges), v, site

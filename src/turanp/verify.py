@@ -104,25 +104,6 @@ def _ms_k_join_matching(n: int, k: int) -> list[tuple[int, int]]:
     return [(n - 1, k - 1), (k, 2 * (m // 2)), (k - 1, m % 2)]
 
 
-def _ms_near_regular(n: int, d: int) -> list[tuple[int, int]]:
-    if n and d * n % 2 == 1:
-        return [(d, n - 1), (d - 1, 1)]
-    return [(d, n)]
-
-
-def _ms_g_star(n: int, i: int, r: int) -> list[tuple[int, int]]:
-    m = n - i + 1
-    return [(n - 1, i - 1)] + [(d + i - 1, cnt) for d, cnt in _ms_near_regular(m, r - 1)]
-
-
-def _ms_star(n: int) -> list[tuple[int, int]]:
-    return [(n - 1, 1), (1, n - 1)]
-
-
-def _ms_turan(n: int, r: int) -> list[tuple[int, int]]:
-    return [(n - s, s) for s in families.turan_part_sizes(n, r)]
-
-
 def _ms_ep(ms: list[tuple[int, int]], p: int) -> int:
     return sum(cnt * d ** p for d, cnt in ms if cnt)
 

@@ -44,6 +44,14 @@ def test_formula_golden(capsys):
     assert "window" in obj and "source" in obj
 
 
+def test_formula_eg_bound_golden(capsys):
+    code, out, _ = run(capsys, "formula", "--name", "eg_bound",
+                       "--n", "9", "--ell", "4")
+    assert code == 0
+    assert out == ('{"in_window": true, "source": "erdos-gallai-1959", '
+                   '"value": "9", "window": "upper bound, all n"}\n')
+
+
 def test_formula_missing_param_is_usage_error(capsys):
     code, _, err = run(capsys, "formula", "--name", "exp_path", "--n", "10")
     assert code == 2 and "--ell" in err

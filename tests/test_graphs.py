@@ -427,6 +427,42 @@ def test_g6_examples():
     assert g6_decode(">>graph6<<Bw") == complete_graph(3)
 
 
+def _reference_g6(n, edges):
+    """graph6 spelled from its definition: the size header, then the bits
+    x(0,1) x(0,2) x(1,2) x(0,3) ... of the upper triangle column by column
+    as a '0'/'1' string, zero-padded to whole 6-bit groups, each group read
+    as a binary number plus 63."""
+    if n <= 62:
+        header = chr(63 + n)
+    else:
+        header = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    pairs = {(min(u, v), max(u, v)) for u, v in edges}
+    bits = "".join("1" if (i, j) in pairs else "0" for j in range(n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(chr(63 + int(bits[k : k + 6], 2))
+                            for k in range(0, len(bits), 6))
+
+
+def test_g6_bit_order_matches_reference():
+    # column-major order, vertex 0 first: a path 0-1-2 is "Bg", not "BW"
+    assert _reference_g6(3, [(0, 1), (1, 2)]) == "Bg"
+    battery = []
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        battery += [(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+                    for mask in range(1 << len(pairs))]
+    rng = random.Random(21)
+    for n in (6, 17, 62, 63, 64):
+        for prob in (0.05, 0.3, 0.5, 0.9):
+            battery.append((n, [(i, j) for j in range(n) for i in range(j)
+                                if rng.random() < prob]))
+    for n, edges in battery:
+        g = Graph.from_edges(n, edges)
+        ref = _reference_g6(n, edges)
+        assert g6_encode(g) == ref, (n, edges)
+        assert g6_decode(ref) == g, ref
+
+
 def test_g6_long_form():
     g = matching_graph(64)
     s = g6_encode(g)
@@ -459,5 +495,7 @@ def test_g6_errors():
         g6_decode("B\x20")  # byte below 63
     with pytest.raises(Graph6Error):
         g6_decode("AO")  # nonzero padding for n=2
+    with pytest.raises(Graph6Error):
+        g6_decode("~??~" + "?" * 325 + "@")  # n=63: last of 3 padding bits set
     with pytest.raises(GraphCapError):
         g6_decode(chr(126) + chr(63) + chr(65) + chr(63))  # n=128 beyond cap

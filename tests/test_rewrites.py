@@ -122,6 +122,42 @@ def test_apply_rejects_stale_or_small_degree():
         apply_rewrite(small, 0, PendentSite("edge", 2, (3,), 0), 5, 0)
 
 
+def test_every_kind_rejects_a_wrong_site():
+    sites = {}
+    for kind in KINDS:
+        g, v, site = demo_instance(kind, 7, 1, random.Random(9))
+        apply_rewrite(g, v, site, 7, 1)
+        sites[kind] = g, v, site
+    wrong = []
+    g, v, site = sites["diamond"]
+    z = site.vertices[0]
+    wrong.append((g.with_edge(site.x, z), v, site))  # the chord xz added
+    for kind, other in (("spindle", "spindle_plus"), ("spindle_plus", "spindle")):
+        g, v, site = sites[kind]
+        wrong.append((g, v, PendentSite(other, site.x, site.vertices, v)))
+    g, v, site = sites["spindle"]
+    hub_and_one_leaf = site.vertices[:2]
+    wrong.append((g, v, PendentSite("spindle", site.x, hub_and_one_leaf, v)))
+    g, v, site = sites["triangle"]
+    wrong.append((g, v, PendentSite("edge", site.x, site.vertices[:1], v)))
+    for g, v, site in wrong:
+        with pytest.raises(SiteError, match="stale or invalid"):
+            apply_rewrite(g, v, site, 7, 1)
+
+
+def test_wrong_vertex_count_is_a_site_error():
+    # each kind has a fixed number of peripherals (a spindle at least 3)
+    for kind in ("edge", "triangle", "diamond"):
+        g, v, site = demo_instance(kind, 7, 1, random.Random(9))
+        spare = next(u for u in range(g.n) if u != v and u not in site.all_vertices())
+        for vertices in (site.vertices[:-1], site.vertices + (spare,)):
+            with pytest.raises(SiteError, match="stale or invalid"):
+                apply_rewrite(g, v, PendentSite(kind, site.x, vertices, v), 7, 1)
+    g, v, site = demo_instance("triangle", 7, 1, random.Random(9))
+    with pytest.raises(SiteError, match="stale or invalid"):
+        apply_rewrite(g, v, PendentSite("edge", site.x, site.vertices, v), 7, 1)
+
+
 def test_only_v_gains_degree():
     rng = random.Random(2)
     for kind in KINDS:
