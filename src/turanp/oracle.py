@@ -64,24 +64,45 @@ that base by u's neighbourhood rebuilds H with u as the new vertex, and
 so does the twin-ordered mask that neighbourhood maps to, because a twin
 swap in the base fixes the new vertex.  On the last level the pre-test
 guards only which extensions are kept for canonization; the e_p
-comparison still sees every extension.
+comparison still sees every extension of the bases the bound below keeps.
+
+The last level visits its bases in descending order of the bound
+U(B) = e_p(B + a vertex joined to all of B), and stops at the first base
+with U(B) < the running maximum, counting it and every base after it as
+cut.  e_p only grows with edges, and every extension of B is a subgraph
+of that join, so no extension of a cut base reaches the maximum (the
+branch-and-bound form of McKay 1998).  The cut is strict: a base with
+U(B) equal to the maximum can still hold a maximizer, and it may be the
+only base that rebuilds that class with the new vertex passing the
+pre-test (for two disjoint edges at n = 7 the star K_{1,6} passes it only
+as the empty base plus a vertex joined to all).  Only whole bases are
+skipped: a skipped mask would record no verdict for the masks above it,
+and a base's verdicts live only while that base is extended.  Bases tied
+on U keep their class order.  The bases extended are exactly those with
+U(B) at least the final maximum: every maximizer comes from such a base,
+so the running maximum is final before the first base below it.
 
 The pre-test runs on what `_extensions` yields, after each mask's state
 is recorded, so the submask verdicts stay whole.  It can change which
 labelling of a class is kept, and with it which masks are decided
-untested, so the number of matcher calls moves slightly; the two
-counters below count twin orbits of masks, which do not depend on the
-labelling, so they do not move.
+untested, so the number of matcher calls, and with it the split of
+`pruned` below, moves slightly; `graphs_visited`, `pruned` and
+`bases_cut` count twin orbits of masks and classes, which do not depend
+on the labelling, so they do not move.
 
 Search counters under `meta`: `graphs_visited` counts the extensions
 examined (one per class and twin-ordered mask; masks skipped for their
-twin order are not counted), `pruned` those of them rejected because they
-contain the pattern.
+twin order are not counted, nor are the masks of bases the bound cuts),
+`pruned` those of them rejected because they contain the pattern, the
+sum of `pruned_heredity` (a submask was rejected) and `pruned_matcher` (a
+`contains_through` call found a copy).  `bases_cut` counts the last-level
+bases the bound skipped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from .formulas import formula_for_pattern
@@ -108,7 +129,13 @@ class OracleReport:
     maximizers: tuple[tuple[str, str], ...]  # (graph6, canonical code hex)
     unique: bool
     graphs_visited: int
-    pruned: int
+    pruned_heredity: int
+    pruned_matcher: int
+    bases_cut: int
+
+    @property
+    def pruned(self) -> int:
+        return self.pruned_heredity + self.pruned_matcher
 
     @property
     def edges(self) -> int:
@@ -125,7 +152,11 @@ class OracleReport:
             "max_value": str(self.max_value),
             "maximizers": [g6 for g6, _ in self.maximizers],
             "unique": self.unique,
-            "meta": {"graphs_visited": self.graphs_visited, "pruned": self.pruned},
+            "meta": {"graphs_visited": self.graphs_visited,
+                     "pruned": self.pruned,
+                     "pruned_heredity": self.pruned_heredity,
+                     "pruned_matcher": self.pruned_matcher,
+                     "bases_cut": self.bases_cut},
         }
         if self.p == 1:
             out["edges"] = str(self.edges)
@@ -139,7 +170,12 @@ _UNORDERED = 2
 @dataclass
 class _Counts:
     visited: int = 0
-    pruned: int = 0
+    heredity: int = 0
+    matcher: int = 0
+
+    @property
+    def pruned(self) -> int:
+        return self.heredity + self.matcher
 
 
 def _extensions(classes: list[tuple[int, ...]], k: int,
@@ -156,7 +192,7 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
         # per mask: 0 kept, _REJECTED contains the pattern, _UNORDERED
         # holds a vertex without all of its lower twins
         state = bytearray(1 << v)
-        visited = pruned = 0
+        visited = heredity = hits = 0
         for mask in range(1 << v):
             if mask:
                 top = mask.bit_length() - 1
@@ -175,15 +211,19 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
                     rest ^= low
                     below = state[mask ^ low]
                     forced += not below
-                if below == _REJECTED or forced <= maxdeg and (
-                        matcher.contains_through(k, _rows(base, mask), v, top,
-                                                 forced)):
+                if below == _REJECTED:
                     state[mask] = _REJECTED
-                    pruned += 1
+                    heredity += 1
+                    continue
+                if forced <= maxdeg and matcher.contains_through(
+                        k, _rows(base, mask), v, top, forced):
+                    state[mask] = _REJECTED
+                    hits += 1
                     continue
             yield base, mask
         counts.visited += visited
-        counts.pruned += pruned
+        counts.heredity += heredity
+        counts.matcher += hits
 
 
 def _rows(base: tuple[int, ...], mask: int) -> list[int]:
@@ -261,6 +301,7 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be None or >= 1, got {threads}")
     counts = _Counts()
+    cut = 0
     if pattern.order() > n:
         # the host cannot hold the pattern: K_n is the unique maximizer
         full = (1 << n) - 1
@@ -269,37 +310,46 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
     else:
         matcher = AnchoredMatcher(pattern.edge_list())
         power = [d ** p for d in range(n)]
+        # (U, degrees, base) with U = e_p(base + a vertex joined to all)
+        # bounding every extension of the base; stable, so bases tied on U
+        # keep their class order
+        bases = []
+        for base in _classes(n - 1, matcher, counts):
+            bdeg = [row.bit_count() for row in base]
+            bases.append((sum(power[d + 1] for d in bdeg) + power[n - 1],
+                          bdeg, base))
+        bases.sort(key=itemgetter(0), reverse=True)
         # add[mask]: what the mask adds at the base's vertices, set for each
         # yielded mask before any mask above it in the same base reads it
         add = [0] * (1 << (n - 1))
         best = -1
         tied = []  # rows at the running best passing the pre-test
-        last = None
-        for base, mask in _extensions(_classes(n - 1, matcher, counts), n,
-                                      matcher, counts):
-            if base is not last:
-                last = base
-                bdeg = [row.bit_count() for row in base]
-                bval = sum(power[d] for d in bdeg)
-                # gain[u]: what the edge to the new vertex adds at u
-                gain = [power[d + 1] - power[d] for d in bdeg]
-            if mask:
-                top = mask.bit_length() - 1
-                add[mask] = add[mask ^ 1 << top] + gain[top]
-            val = bval + add[mask] + power[mask.bit_count()]
-            if val < best:
-                continue
-            if val > best:
-                best = val
-                tied = []
-            rows = _rows(base, mask)
-            if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
-                tied.append(rows)
+        for i, (bound, bdeg, base) in enumerate(bases):
+            if bound < best:  # strict: a base reaching only best may tie
+                cut = len(bases) - i
+                break
+            bval = sum(power[d] for d in bdeg)
+            # gain[u]: what the edge to the new vertex adds at u
+            gain = [power[d + 1] - power[d] for d in bdeg]
+            for _, mask in _extensions((base,), n, matcher, counts):
+                if mask:
+                    top = mask.bit_length() - 1
+                    add[mask] = add[mask ^ 1 << top] + gain[top]
+                val = bval + add[mask] + power[mask.bit_count()]
+                if val < best:
+                    continue
+                if val > best:
+                    best = val
+                    tied = []
+                rows = _rows(base, mask)
+                if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
+                    tied.append(rows)
     codes = {canonical_code(Graph._trusted(n, tuple(rows))) for rows in tied}
     maximizers = tuple(sorted((g6_encode(graph_from_code(code)), code.hex())
                               for code in codes))
     return OracleReport(n, p, pattern.text(), best, maximizers,
-                        len(maximizers) == 1, counts.visited, counts.pruned)
+                        len(maximizers) == 1, counts.visited, counts.heredity,
+                        counts.matcher, cut)
 
 
 def ex_classical(n: int, pattern: ForestPattern, *,

@@ -104,7 +104,8 @@ def test_byte_stability(capsys):
     assert out1 == out2
     obj = json.loads(out1)
     assert obj["max_value"] == "4"
-    assert set(obj["meta"]) == {"graphs_visited", "pruned"}
+    assert set(obj["meta"]) == {"graphs_visited", "pruned", "pruned_heredity",
+                                "pruned_matcher", "bases_cut"}
 
 
 def test_oracle_range_csv(capsys):

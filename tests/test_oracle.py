@@ -138,7 +138,8 @@ def test_report_json_shape():
     rep = max_ep(5, PathPattern(3), 1)
     obj = rep.to_json()
     assert obj["edges"] == str(rep.max_value // 2)
-    assert set(obj["meta"]) == {"graphs_visited", "pruned"}
+    assert set(obj["meta"]) == {"graphs_visited", "pruned", "pruned_heredity",
+                                "pruned_matcher", "bases_cut"}
     with pytest.raises(ValueError):
         max_ep(5, PathPattern(3), 2).edges
 
@@ -211,8 +212,8 @@ def test_degree_sequence_dedup_matches_canonizing_every_extension(spec):
 
 
 @pytest.mark.parametrize("spec, n, meta, calls_canonizing_all", [
-    ("path:6", 6, (783, 425), 70),
-    ("stars:2,2", 7, (2469, 1837), 127),
+    ("path:6", 6, (383, 223), 70),
+    ("stars:2,2", 7, (1927, 1514), 127),
     ("linear:3,2", 8, (1120, 951), 67),
 ])
 def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
@@ -233,15 +234,16 @@ def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
     assert calls <= calls_canonizing_all // 2
 
 
-@pytest.mark.parametrize("spec, n, want, calls_top_edge_only", [
-    ("path:6", 6, 343, 390),
-    ("stars:2,2", 7, 668, 796),
-    ("linear:3,2", 8, 216, 232),
+@pytest.mark.parametrize("spec, n, want, calls_top_edge_only, calls_max_ep", [
+    ("path:6", 6, 343, 390, 152),
+    ("stars:2,2", 7, 668, 796, 472),
+    ("linear:3,2", 8, 216, 232, 216),
 ])
 def test_forced_edges_save_matcher_calls(monkeypatch, spec, n, want,
-                                         calls_top_edge_only):
+                                         calls_top_edge_only, calls_max_ep):
     # calls_top_edge_only: contains_through calls when every mask whose
-    # top-dropped submask is free goes to the matcher
+    # top-dropped submask is free goes to the matcher, over all n-vertex
+    # extensions; max_ep makes fewer, as the bound skips whole bases
     calls = 0
     real = AnchoredMatcher.contains_through
 
@@ -251,9 +253,101 @@ def test_forced_edges_save_matcher_calls(monkeypatch, spec, n, want,
         return real(self, *args)
 
     monkeypatch.setattr(AnchoredMatcher, "contains_through", counted)
-    max_ep(n, parse_pattern(spec), 2)
+    matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
+    bases = _classes(n - 1, matcher, _Counts())
+    for _ in _extensions(bases, n, matcher, _Counts()):
+        pass
     assert calls == want
     assert calls < calls_top_edge_only
+    calls = 0
+    max_ep(n, parse_pattern(spec), 2)
+    assert calls == calls_max_ep
+
+
+def max_ep_unbounded(n, pattern, p):
+    """Reference last level: every extension of every base, no bound and
+    no pre-test; (max_value, canonical codes of the maximizers)."""
+    matcher = AnchoredMatcher(pattern.edge_list())
+    best, codes = -1, set()
+    bases = _classes(n - 1, matcher, _Counts())
+    for base, mask in _extensions(bases, n, matcher, _Counts()):
+        rows = _rows(base, mask)
+        val = sum(row.bit_count() ** p for row in rows)
+        if val > best:
+            best, codes = val, set()
+        if val == best:
+            codes.add(canonical_code(Graph._trusted(n, tuple(rows))))
+    return best, codes
+
+
+def base_bound(base, p):
+    """e_p of base plus a vertex joined to all of it."""
+    return (sum((row.bit_count() + 1) ** p for row in base)
+            + len(base) ** p)
+
+
+@pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",
+                                  "stars:1,1"])
+def test_bound_matches_unbounded_last_level(spec):
+    pattern = parse_pattern(spec)
+    for n in range(2, 8):
+        for p in (1, 2, 3):
+            rep = max_ep(n, pattern, p)
+            best, codes = max_ep_unbounded(n, pattern, p)
+            assert rep.max_value == best, (n, p)
+            assert {bytes.fromhex(code) for _, code in rep.maximizers} == codes
+            assert rep.unique == (len(codes) == 1), (n, p)
+
+
+def test_bound_keeps_bases_that_only_tie_the_best():
+    # the star K_{1,6} is the one maximizer at n = 7; the pre-test keeps it
+    # only as the empty base plus a vertex joined to all, and that base's
+    # bound equals the maximum, so a cut at U <= best would lose it
+    pattern = parse_pattern("stars:1,1")
+    for p in (1, 2, 3):
+        rep = max_ep(7, pattern, p)
+        assert rep.max_value == 6 ** p + 6 and rep.unique
+        assert maximizer_codes(rep) == {canonical_code(star_graph(6))}
+        assert base_bound((0,) * 6, p) == rep.max_value
+
+
+@pytest.mark.parametrize("spec, n, cut", [
+    ("path:6", 6, True),
+    ("stars:2,2", 7, True),
+    ("linear:3,2", 8, False),
+])
+def test_bases_cut(spec, n, cut):
+    rep = max_ep(n, parse_pattern(spec), 2)
+    matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
+    bounds = [base_bound(base, 2)
+              for base in _classes(n - 1, matcher, _Counts())]
+    assert rep.bases_cut == sum(u < rep.max_value for u in bounds)
+    assert (rep.bases_cut > 0) == cut
+
+
+@pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",
+                                  "stars:1,1", "path:9"])
+def test_pruned_is_heredity_plus_matcher(monkeypatch, spec):
+    # pruned_matcher counts the contains_through calls that found a copy
+    hits = 0
+    real = AnchoredMatcher.contains_through
+
+    def counted(self, *args):
+        nonlocal hits
+        found = real(self, *args)
+        hits += found
+        return found
+
+    monkeypatch.setattr(AnchoredMatcher, "contains_through", counted)
+    for n in range(2, 8):
+        for p in (1, 2):
+            hits = 0
+            rep = max_ep(n, parse_pattern(spec), p)
+            meta = rep.to_json()["meta"]
+            assert meta["pruned_matcher"] == hits, (n, p)
+            assert meta["pruned"] == rep.pruned == (
+                meta["pruned_heredity"] + meta["pruned_matcher"]), (n, p)
+            assert rep.pruned <= rep.graphs_visited
 
 
 @pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",
