@@ -234,16 +234,42 @@ def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
     assert calls <= calls_canonizing_all // 2
 
 
-@pytest.mark.parametrize("spec, n, want, calls_top_edge_only, calls_max_ep", [
-    ("path:6", 6, 343, 390, 152),
-    ("stars:2,2", 7, 668, 796, 472),
-    ("linear:3,2", 8, 216, 232, 216),
+@pytest.mark.parametrize("spec, n, want, calls_top_edge_only", [
+    ("path:6", 6, 343, 390),
+    ("stars:2,2", 7, 668, 796),
+    ("linear:3,2", 8, 216, 232),
 ])
 def test_forced_edges_save_matcher_calls(monkeypatch, spec, n, want,
-                                         calls_top_edge_only, calls_max_ep):
+                                         calls_top_edge_only):
     # calls_top_edge_only: contains_through calls when every mask whose
     # top-dropped submask is free goes to the matcher, over all n-vertex
-    # extensions; max_ep makes fewer, as the bound skips whole bases
+    # extensions
+    calls = _count_matcher_calls(monkeypatch)
+    matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
+    bases = _classes(n - 1, matcher, _Counts())
+    for _ in _extensions(bases, n, matcher, _Counts()):
+        pass
+    assert calls() == want
+    assert want < calls_top_edge_only
+
+
+@pytest.mark.parametrize("spec, n, all_extensions, calls_max_ep", [
+    ("path:6", 6, 343, 152),
+    ("stars:2,2", 7, 668, 472),
+    ("linear:3,2", 8, 216, 216),
+])
+def test_base_bound_saves_matcher_calls(monkeypatch, spec, n, all_extensions,
+                                        calls_max_ep):
+    # all_extensions: contains_through calls over every n-vertex extension
+    # (see above); max_ep makes no more, as the bound skips whole bases
+    calls = _count_matcher_calls(monkeypatch)
+    max_ep(n, parse_pattern(spec), 2)
+    assert calls() == calls_max_ep
+    assert calls_max_ep <= all_extensions
+
+
+def _count_matcher_calls(monkeypatch):
+    """Count AnchoredMatcher.contains_through calls from here on."""
     calls = 0
     real = AnchoredMatcher.contains_through
 
@@ -253,15 +279,7 @@ def test_forced_edges_save_matcher_calls(monkeypatch, spec, n, want,
         return real(self, *args)
 
     monkeypatch.setattr(AnchoredMatcher, "contains_through", counted)
-    matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
-    bases = _classes(n - 1, matcher, _Counts())
-    for _ in _extensions(bases, n, matcher, _Counts()):
-        pass
-    assert calls == want
-    assert calls < calls_top_edge_only
-    calls = 0
-    max_ep(n, parse_pattern(spec), 2)
-    assert calls == calls_max_ep
+    return lambda: calls
 
 
 def max_ep_unbounded(n, pattern, p):
