@@ -90,6 +90,21 @@ untested, so the number of matcher calls, and with it the split of
 `bases_cut` count twin orbits of masks and classes, which do not depend
 on the labelling, so they do not move.
 
+The levels below the pattern's order are shared across searches.  No
+graph on fewer vertices than the pattern contains it, so there no mask is
+rejected: every `contains_through` call returns False at once and no
+submask verdict is a rejection.  `_extensions` then yields the same
+(base, mask) sequence with or without a matcher, and the classes, their
+labellings, their order and `graphs_visited` are those of the search with
+no pattern, with `pruned_heredity` and `pruned_matcher` 0.  So they depend
+on neither the pattern nor p.  `_all_classes` builds these pattern-free
+levels once per process, each from the cached level below it, on the
+first query that needs them; `nonisomorphic_graphs` reads the same cache.
+A search copies level pn - 1 (pn the pattern's order), adds the
+extensions examined to build it, and runs the matcher only from level pn
+on.  Answers, maximizers and every counter under `meta` are those of a
+search that grows every level with the matcher.
+
 Search counters under `meta`: `graphs_visited` counts the extensions
 examined (one per class and twin-ordered mask; masks skipped for their
 twin order are not counted, nor are the masks of bases the bound cuts),
@@ -251,36 +266,63 @@ def _new_vertex_largest(rows: list[int], deg: list[int]) -> bool:
     return True
 
 
+def _level(classes: list[tuple[int, ...]], k: int,
+           matcher: AnchoredMatcher | None,
+           counts: _Counts) -> list[tuple[int, ...]]:
+    """One rows tuple per pattern-free isomorphism class on k vertices,
+    grown from the classes on k - 1."""
+    level: list[tuple[int, ...]] = []
+    codes: set[bytes] = set()
+    # sorted degree sequence -> its one uncanonized member, or None once the
+    # sequence has met a second extension
+    lone: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    for base, mask in _extensions(classes, k, matcher, counts):
+        rows = _rows(base, mask)
+        deg = [row.bit_count() for row in rows]
+        if not _new_vertex_largest(rows, deg):
+            continue
+        key = tuple(sorted(deg))
+        rows = tuple(rows)
+        if key not in lone:
+            lone[key] = rows
+            level.append(rows)
+            continue
+        first = lone[key]
+        if first is not None:
+            codes.add(canonical_code(Graph._trusted(k, first)))
+            lone[key] = None
+        code = canonical_code(Graph._trusted(k, rows))
+        if code not in codes:
+            codes.add(code)
+            level.append(rows)
+    return level
+
+
+# levels 0 .. ORACLE_HARD_CAP - 1, the most max_ep reads
+@lru_cache(maxsize=ORACLE_HARD_CAP)
+def _all_classes(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(classes, graphs_visited): the isomorphism classes on k vertices with
+    no pattern, grown from the cached level k - 1, and the extensions
+    examined to build levels 1..k."""
+    if k == 0:
+        return ((),), 0
+    below, visited = _all_classes(k - 1)
+    counts = _Counts()
+    level = _level(below, k, None, counts)
+    return tuple(level), visited + counts.visited
+
+
 def _classes(k: int, matcher: AnchoredMatcher | None,
              counts: _Counts) -> list[tuple[int, ...]]:
-    """One rows tuple per pattern-free isomorphism class on k vertices."""
-    classes: list[tuple[int, ...]] = [()]
-    for j in range(1, k + 1):
-        level: list[tuple[int, ...]] = []
-        codes: set[bytes] = set()
-        # sorted degree sequence -> its one uncanonized member, or None
-        # once the sequence has met a second extension
-        lone: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-        for base, mask in _extensions(classes, j, matcher, counts):
-            rows = _rows(base, mask)
-            deg = [row.bit_count() for row in rows]
-            if not _new_vertex_largest(rows, deg):
-                continue
-            key = tuple(sorted(deg))
-            rows = tuple(rows)
-            if key not in lone:
-                lone[key] = rows
-                level.append(rows)
-                continue
-            first = lone[key]
-            if first is not None:
-                codes.add(canonical_code(Graph._trusted(j, first)))
-                lone[key] = None
-            code = canonical_code(Graph._trusted(j, rows))
-            if code not in codes:
-                codes.add(code)
-                level.append(rows)
-        classes = level
+    """One rows tuple per pattern-free isomorphism class on k vertices:
+    the shared levels up to the pattern's order - 1 (see the module
+    docstring), grown with the matcher from there."""
+    start = k if matcher is None else min(k, matcher.pn - 1)
+    shared, visited = _all_classes(start)
+    counts.visited += visited
+    classes = list(shared)
+    for j in range(start + 1, k + 1):
+        classes = _level(classes, j, matcher, counts)
     return classes
 
 
@@ -407,8 +449,7 @@ def all_graphs(n: int):
                                    if mask >> k & 1])
 
 
-@lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on n vertices: the
     oracle's extension loop with no pattern."""
-    return tuple(Graph(n, rows) for rows in _classes(n, None, _Counts()))
+    return tuple(Graph(n, rows) for rows in _all_classes(n)[0])

@@ -1,5 +1,9 @@
 """Oracle: frozen small-n truths, maximizer structure, determinism."""
+import os
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +12,11 @@ from turanp.families import complete_graph, matching_graph, star_graph
 from turanp.formulas import ex_path, exp_path
 from turanp.graphs import Graph, canonical_code, g6_decode
 from turanp.oracle import (
+    _all_classes,
     _classes,
     _Counts,
     _extensions,
+    _level,
     _new_vertex_largest,
     _rows,
     all_graphs,
@@ -169,6 +175,14 @@ def test_pattern_free_class_counts(spec, count):
     assert len(_classes(7, matcher, _Counts())) == count
 
 
+@pytest.fixture
+def cold_levels():
+    """Empty the shared pattern-free levels, so that a test counting
+    canonical_code calls counts every level, whatever ran before it."""
+    _all_classes.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_levels")
 def test_canonical_deletion_filter_fires(monkeypatch):
     # without the pre-test every one of the 7,195 twin-ordered extensions
     # up to n = 7 is canonized
@@ -216,6 +230,7 @@ def test_degree_sequence_dedup_matches_canonizing_every_extension(spec):
     ("stars:2,2", 7, (1927, 1514), 127),
     ("linear:3,2", 8, (1120, 951), 67),
 ])
+@pytest.mark.usefixtures("cold_levels")
 def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
                                  calls_canonizing_all):
     # calls_canonizing_all: canonical_code calls when every extension
@@ -234,6 +249,15 @@ def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
     assert calls <= calls_canonizing_all // 2
 
 
+def classes_growing_every_level(k, matcher, counts):
+    """Reference for _classes: every level grown with the matcher from the
+    empty graph, nothing shared."""
+    classes = [()]
+    for j in range(1, k + 1):
+        classes = _level(classes, j, matcher, counts)
+    return classes
+
+
 @pytest.mark.parametrize("spec, n, want, calls_top_edge_only", [
     ("path:6", 6, 343, 390),
     ("stars:2,2", 7, 668, 796),
@@ -241,12 +265,12 @@ def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
 ])
 def test_forced_edges_save_matcher_calls(monkeypatch, spec, n, want,
                                          calls_top_edge_only):
-    # calls_top_edge_only: contains_through calls when every mask whose
-    # top-dropped submask is free goes to the matcher, over all n-vertex
-    # extensions
+    # contains_through calls when every level is grown with the matcher and
+    # all n-vertex extensions are examined; calls_top_edge_only: the same
+    # when every mask whose top-dropped submask is free goes to the matcher
     calls = _count_matcher_calls(monkeypatch)
     matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
-    bases = _classes(n - 1, matcher, _Counts())
+    bases = classes_growing_every_level(n - 1, matcher, _Counts())
     for _ in _extensions(bases, n, matcher, _Counts()):
         pass
     assert calls() == want
@@ -261,11 +285,33 @@ def test_forced_edges_save_matcher_calls(monkeypatch, spec, n, want,
 def test_base_bound_saves_matcher_calls(monkeypatch, spec, n, all_extensions,
                                         calls_max_ep):
     # all_extensions: contains_through calls over every n-vertex extension
-    # (see above); max_ep makes no more, as the bound skips whole bases
+    # (see above); max_ep growing every level with the matcher makes no
+    # more, as the bound skips whole bases
     calls = _count_matcher_calls(monkeypatch)
+    monkeypatch.setattr(oracle, "_classes", classes_growing_every_level)
     max_ep(n, parse_pattern(spec), 2)
     assert calls() == calls_max_ep
     assert calls_max_ep <= all_extensions
+
+
+@pytest.mark.parametrize("spec, n, want, calls_top_edge_only, calls_max_ep", [
+    ("path:6", 6, 240, 278, 49),
+    ("stars:2,2", 7, 565, 684, 369),
+    ("linear:3,2", 8, 195, 211, 195),
+])
+def test_shared_levels_save_matcher_calls(monkeypatch, spec, n, want,
+                                          calls_top_edge_only, calls_max_ep):
+    # the counts of the two tests above with the levels below the pattern's
+    # order shared, as _classes and max_ep run: those levels make no calls
+    calls = _count_matcher_calls(monkeypatch)
+    matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
+    bases = _classes(n - 1, matcher, _Counts())
+    for _ in _extensions(bases, n, matcher, _Counts()):
+        pass
+    assert calls() == want
+    assert want < calls_top_edge_only
+    max_ep(n, parse_pattern(spec), 2)
+    assert calls() - want == calls_max_ep <= want
 
 
 def _count_matcher_calls(monkeypatch):
@@ -280,6 +326,73 @@ def _count_matcher_calls(monkeypatch):
 
     monkeypatch.setattr(AnchoredMatcher, "contains_through", counted)
     return lambda: calls
+
+
+@pytest.mark.parametrize("spec", CLASS_COUNTS)
+def test_matcher_never_called_below_pattern_order(monkeypatch, spec):
+    # the levels below the pattern's order come from the shared levels
+    pattern = parse_pattern(spec)
+    hosts = []
+    real = AnchoredMatcher.contains_through
+
+    def spy(self, n, *args):
+        hosts.append(n)
+        return real(self, n, *args)
+
+    monkeypatch.setattr(AnchoredMatcher, "contains_through", spy)
+    for n in range(2, 9):
+        max_ep(n, pattern, 2)
+    assert hosts and min(hosts) == pattern.order()
+
+
+@pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",
+                                  "stars:1,1"])
+def test_shared_levels_match_growing_every_level(spec):
+    # below the pattern's order nothing is rejected, so the shared levels
+    # are the classes, in the order and with the counters, of a search
+    # that grows them with the matcher
+    matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
+    for k in range(8):
+        counts, want_counts = _Counts(), _Counts()
+        classes = _classes(k, matcher, counts)
+        want = classes_growing_every_level(k, matcher, want_counts)
+        assert (classes, counts) == (want, want_counts), k
+
+
+def test_reports_are_the_same_cold_and_warm():
+    for spec in CLASS_COUNTS:
+        pattern = parse_pattern(spec)
+        for n in range(2, 9):
+            for p in (1, 2, 3):
+                _all_classes.cache_clear()
+                cold = max_ep(n, pattern, p).to_json()
+                assert max_ep(n, pattern, p).to_json() == cold, (spec, n, p)
+
+
+def test_queries_leave_the_shared_levels_unchanged():
+    for spec in CLASS_COUNTS:
+        pattern = parse_pattern(spec)
+        matcher = AnchoredMatcher(pattern.edge_list())
+        for k in range(8):
+            _classes(k, matcher, _Counts()).clear()
+        for n in range(2, 8):
+            max_ep(n, pattern, 2)
+    nonisomorphic_graphs(7)
+    seen = [_all_classes(k) for k in range(8)]
+    _all_classes.cache_clear()
+    assert [_all_classes(k) for k in range(8)] == seen
+
+
+def test_import_builds_no_levels():
+    # nothing is enumerated before the first query
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import turanp\n"
+            "print(turanp.oracle._all_classes.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == "0\n"
 
 
 def max_ep_unbounded(n, pattern, p):
