@@ -49,14 +49,19 @@ class PendentSite:
                 "vertices": list(self.vertices)}
 
 
-def _exact_neighbors(g: Graph, v: int, expect: set[int]) -> bool:
-    return set(iter_bits(g.rows[v])) == expect
-
-
 def find_sites(g: Graph, v: int) -> list[PendentSite]:
     """All pendent sites of the connected graph g relative to v, in a
     deterministic order.  Complete: every structure matching one of the
-    five definitions is listed."""
+    five definitions is listed.
+
+    Peripherals have no neighbours outside their structure, so a site's
+    peripherals are exactly one component C of G - x that does not hold
+    v; and in a diamond, spindle or spindle+ the hub z is adjacent to
+    every other peripheral.  So each such C is tried as an edge (|C| = 1),
+    a triangle (|C| = 2), or else as each of the other kinds with vertices
+    (z, *rest ascending) for every z adjacent to all of C - z; a candidate
+    is kept when _validate_site, and so the shape's one edge list, accepts
+    it."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     if not g.is_connected():
@@ -65,45 +70,24 @@ def find_sites(g: Graph, v: int) -> list[PendentSite]:
     for x in range(g.n):
         if x == v:
             continue
-        nx = list(iter_bits(g.rows[x]))
-        # pendent edges: y's only neighbour is x
-        for y in nx:
-            if y != v and _exact_neighbors(g, y, {x}):
-                sites.append(PendentSite("edge", x, (y,), v))
-        # pendent triangles: x,y,y' mutually adjacent, y,y' closed off
-        for i, y in enumerate(nx):
-            for yp in nx[i + 1 :]:
-                if v in (y, yp) or not g.has_edge(y, yp):
+        cut = ~(1 << x)
+        rows = tuple(row & cut if u != x else 0 for u, row in enumerate(g.rows))
+        for comp in Graph._trusted(g.n, rows).components():
+            if comp & (1 << v | 1 << x):
+                continue
+            c = tuple(iter_bits(comp))
+            if len(c) < 3:
+                candidates = [PendentSite("edge" if len(c) == 1 else "triangle", x, c, v)]
+            else:
+                candidates = [PendentSite(kind, x, (z, *(u for u in c if u != z)), v)
+                              for z in c if rows[z] | 1 << z == comp
+                              for kind in ("diamond", "spindle", "spindle_plus")]
+            for site in candidates:
+                try:
+                    _validate_site(g, v, site)
+                except SiteError:
                     continue
-                if _exact_neighbors(g, y, {x, yp}) and _exact_neighbors(g, yp, {x, y}):
-                    sites.append(PendentSite("triangle", x, (y, yp), v))
-        # pendent diamonds: hub z over the triangle's rim pair, xz absent
-        for i, y in enumerate(nx):
-            for yp in nx[i + 1 :]:
-                if v in (y, yp) or not g.has_edge(y, yp):
-                    continue
-                common = g.rows[y] & g.rows[yp] & ~(1 << x) & ~(1 << v)
-                for z in iter_bits(common):
-                    if g.has_edge(x, z):
-                        continue
-                    if (_exact_neighbors(g, z, {y, yp})
-                            and _exact_neighbors(g, y, {x, z, yp})
-                            and _exact_neighbors(g, yp, {x, z, y})):
-                        sites.append(PendentSite("diamond", x, (z, y, yp), v))
-        # spindles: hub z sharing t >= 2 leaves with x; xz edge decides +
-        for z in range(g.n):
-            if z in (v, x):
-                continue
-            plus = g.has_edge(x, z)
-            leaves = g.rows[z] & ~(1 << x)
-            if leaves.bit_count() < 2 or leaves >> v & 1:
-                continue
-            if not _exact_neighbors(g, z, set(iter_bits(leaves)) | ({x} if plus else set())):
-                continue
-            ys = list(iter_bits(leaves))
-            if all(_exact_neighbors(g, y, {x, z}) for y in ys):
-                kind = "spindle_plus" if plus else "spindle"
-                sites.append(PendentSite(kind, x, (z, *ys), v))
+                sites.append(site)
     rank = {k: i for i, k in enumerate(KINDS)}
     sites.sort(key=lambda s: (rank[s.kind], s.x, s.vertices))
     return sites

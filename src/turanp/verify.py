@@ -31,9 +31,6 @@ DEFAULT_CONFIG = {
     "oracle.override": 0,
 }
 
-CHECK_NAMES = ("consistency", "freeness", "oracle", "lemmas", "rewrites", "e4")
-
-
 @dataclass
 class CheckResult:
     check: str
@@ -409,7 +406,7 @@ _CHECKS = {
 
 def run_suite(cfg: dict, only: list[str] | None = None) -> list[CheckResult]:
     validate_config(cfg)
-    names = list(CHECK_NAMES)
+    names = list(_CHECKS)
     if only:
         unknown = [o for o in only if o not in _CHECKS]
         if unknown:

@@ -1,15 +1,18 @@
 """Pendent sites: discovery, rewiring, and the increase/freeness lemma."""
+import itertools
 import random
 
 import pytest
 
-from turanp.families import complete_graph
+from turanp.families import complete_graph, h_path, k_join_matching
 from turanp.graphs import Graph, ep_value
+from turanp.oracle import nonisomorphic_graphs
 from turanp.patterns import BroomPattern, is_free
 from turanp.rewrites import (
     KINDS,
     PendentSite,
     SiteError,
+    _validate_site,
     apply_rewrite,
     demo_instance,
     find_sites,
@@ -73,6 +76,61 @@ def test_find_sites_requires_connected():
         find_sites(g, 0)
 
 
+def test_find_sites_rejects_v_out_of_range():
+    g = star_host([(1, 7)], leaves=6, n_extra=1)
+    for v in (g.n, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            find_sites(g, v)
+
+
+def _every_valid_site(g, v):
+    """Every site _validate_site accepts among all vertex tuples in the
+    canonical form (an edge or triangle in ascending order, otherwise a
+    hub followed by at least two more in ascending order), in
+    find_sites's order."""
+    sites = []
+    for kind in KINDS:
+        for x in range(g.n):
+            others = [u for u in range(g.n) if u not in (x, v)]
+            if kind in ("edge", "triangle"):
+                tuples = itertools.combinations(others, 1 if kind == "edge" else 2)
+            else:
+                tuples = sorted((z, *(u for u in subset if u != z))
+                                for size in range(3, len(others) + 1)
+                                for subset in itertools.combinations(others, size)
+                                for z in subset)
+            for vertices in tuples:
+                site = PendentSite(kind, x, vertices, v)
+                try:
+                    _validate_site(g, v, site)
+                except SiteError:
+                    continue
+                sites.append(site)
+    return sites
+
+
+def test_find_sites_is_complete_on_small_graphs():
+    pairs = 0
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            if not g.is_connected():
+                continue
+            for v in range(n):
+                assert find_sites(g, v) == _every_valid_site(g, v), (g, v)
+                pairs += 1
+    assert pairs == 810
+
+
+def test_find_sites_on_dense_extremal_hosts():
+    for g in (complete_graph(64), h_path(64, 7), k_join_matching(64, 2)):
+        assert find_sites(g, 0) == []  # v = 0 is universal, so G - x is connected
+    # away from the universal vertex 0, each matching edge of K_1 + M_63 is a
+    # triangle at x = 0 and the unmatched vertex 63 a pendent edge
+    expected = [PendentSite("edge", 0, (63,), 1)] + [
+        PendentSite("triangle", 0, (y, y + 1), 1) for y in range(3, 63, 2)]
+    assert find_sites(k_join_matching(64, 2), 1) == expected
+
+
 # ---------------------------------------------------------------------
 # rewiring
 # ---------------------------------------------------------------------
@@ -120,6 +178,8 @@ def test_apply_rejects_stale_or_small_degree():
     small = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(SiteError):
         apply_rewrite(small, 0, PendentSite("edge", 2, (3,), 0), 5, 0)
+    with pytest.raises(SiteError, match="site vertex out of range"):
+        apply_rewrite(g, 0, PendentSite("edge", 1, (g.n,), 0), 5, 1)
 
 
 def test_every_kind_rejects_a_wrong_site():
@@ -179,6 +239,7 @@ def test_generated_instances_properties():
             ell = kind_ell[kind]
             s = i % 3
             g, v, site = demo_instance(kind, ell, s, rng)
+            assert site in find_sites(g, v)
             out = apply_rewrite(g, v, site, ell, s)
             for p in (2, 3, 4):
                 assert ep_value(out, p) > ep_value(g, p)
