@@ -83,7 +83,6 @@ from .formulas import (
 from .rewrites import PendentSite, SiteError, apply_rewrite, demo_instance, find_sites
 from .oracle import (
     ORACLE_CAP,
-    ORACLE_HARD_CAP,
     OracleReport,
     all_graphs,
     ex_classical,

@@ -209,8 +209,7 @@ def cmd_oracle(args) -> int:
             return 2
         rows = oracle.verify_range(pattern,
                                    _parse_range(args.n_range, "n"),
-                                   _parse_range(args.p_range, "p"),
-                                   override_cap=args.override_cap)
+                                   _parse_range(args.p_range, "p"))
         if args.out == "csv":
             _emit_csv(rows)
         else:
@@ -224,7 +223,7 @@ def cmd_oracle(args) -> int:
         print("error: a single query prints json or g6, not csv",
               file=sys.stderr)
         return 2
-    rep = oracle.max_ep(args.n, pattern, args.p, override_cap=args.override_cap)
+    rep = oracle.max_ep(args.n, pattern, args.p)
     if args.out == "g6":
         for g6, _ in rep.maximizers:
             sys.stdout.write(g6 + "\n")
@@ -253,6 +252,7 @@ def cmd_verify(args) -> int:
 def cmd_lemmas(args) -> int:
     cfg = dict(verify.DEFAULT_CONFIG)
     cfg["lemmas.span"] = args.span
+    verify.validate_config(cfg)
     result = verify.check_lemmas(cfg)
     _emit_json(result.to_json())
     return 0 if result.passed else 1
@@ -329,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--n-range", dest="n_range")
     p.add_argument("--p-range", dest="p_range")
-    p.add_argument("--override-cap", action="store_true",
-                   help=f"allow n = {oracle.ORACLE_HARD_CAP}")
     add_out(p, "json", "csv", "g6")
     p.set_defaults(func=cmd_oracle)
 

@@ -131,8 +131,7 @@ from .graphs import (
 )
 from .patterns import AnchoredMatcher, ForestPattern, is_free
 
-ORACLE_CAP = 8
-ORACLE_HARD_CAP = 9
+ORACLE_CAP = 9
 
 
 @dataclass(frozen=True)
@@ -298,8 +297,8 @@ def _level(classes: list[tuple[int, ...]], k: int,
     return level
 
 
-# levels 0 .. ORACLE_HARD_CAP - 1, the most max_ep reads
-@lru_cache(maxsize=ORACLE_HARD_CAP)
+# levels 0 .. ORACLE_CAP - 1, the most max_ep reads
+@lru_cache(maxsize=ORACLE_CAP)
 def _all_classes(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(classes, graphs_visited): the isomorphism classes on k vertices with
     no pattern, grown from the cached level k - 1, and the extensions
@@ -326,18 +325,15 @@ def _classes(k: int, matcher: AnchoredMatcher | None,
     return classes
 
 
-def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None,
-           override_cap: bool = False) -> OracleReport:
+def max_ep(n: int, pattern: ForestPattern, p: int, *,
+           threads: int | None = None) -> OracleReport:
     """Exact maximum of e_p over all pattern-free graphs on n vertices,
     with all maximizers up to isomorphism.
 
     ``threads`` is accepted for compatibility and has no effect: it must be
     None or >= 1, and the search always runs on one thread."""
-    cap = ORACLE_HARD_CAP if override_cap else ORACLE_CAP
-    if not 2 <= n <= cap:
-        raise ValueError(
-            f"oracle handles 2 <= n <= {ORACLE_CAP} "
-            f"(hard cap {ORACLE_HARD_CAP} with override), got n={n}")
+    if not 2 <= n <= ORACLE_CAP:
+        raise ValueError(f"oracle handles 2 <= n <= {ORACLE_CAP}, got n={n}")
     if p < 1:
         raise ValueError("need p >= 1")
     if threads is not None and threads < 1:
@@ -394,11 +390,10 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *, threads: int | None = None
                         counts.matcher, cut)
 
 
-def ex_classical(n: int, pattern: ForestPattern, *,
-                 override_cap: bool = False) -> OracleReport:
+def ex_classical(n: int, pattern: ForestPattern) -> OracleReport:
     """Classical Turan search: same enumeration maximizing the edge count
     (reported max_value is e_1 = twice the edge count)."""
-    return max_ep(n, pattern, 1, override_cap=override_cap)
+    return max_ep(n, pattern, 1)
 
 
 def max_ep_exhaustive(n: int, pattern: ForestPattern, p: int) -> int:
@@ -412,8 +407,7 @@ def max_ep_exhaustive(n: int, pattern: ForestPattern, p: int) -> int:
     return best
 
 
-def verify_range(pattern: ForestPattern, n_range, p_range, *,
-                 override_cap: bool = False) -> list[dict]:
+def verify_range(pattern: ForestPattern, n_range, p_range) -> list[dict]:
     """Oracle truth vs. closed form over a grid: one row per (n, p) with
     the oracle value, the formula value (None where no formula applies),
     agreement, and the formula's window status.  Out-of-window rows may
@@ -421,7 +415,7 @@ def verify_range(pattern: ForestPattern, n_range, p_range, *,
     rows = []
     for n in n_range:
         for p in p_range:
-            rep = max_ep(n, pattern, p, override_cap=override_cap)
+            rep = max_ep(n, pattern, p)
             res = formula_for_pattern(pattern, n, p)
             row = {
                 "pattern": pattern.text(),

@@ -28,7 +28,6 @@ DEFAULT_CONFIG = {
     "oracle.n_max": 6,
     "lemmas.span": 12,
     "rewrites.per_kind": 10,
-    "oracle.override": 0,
 }
 
 @dataclass
@@ -75,14 +74,12 @@ def parse_config(text: str) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    override = cfg.get("oracle.override")
-    cap = oracle.ORACLE_HARD_CAP if override else oracle.ORACLE_CAP
-    if cfg["oracle.n_max"] > cap:
-        limit = (f"hard cap {cap}" if override else
-                 f"cap {cap} (hard cap {oracle.ORACLE_HARD_CAP} with "
-                 f"oracle.override=1)")
-        raise ConfigError(
-            f"oracle.n_max={cfg['oracle.n_max']} exceeds the oracle {limit}")
+    for key, val in cfg.items():
+        if any(v < 0 for v in (val if isinstance(val, list) else [val])):
+            raise ConfigError(f"{key} must not be negative, got {val}")
+    if cfg["oracle.n_max"] > oracle.ORACLE_CAP:
+        raise ConfigError(f"oracle.n_max={cfg['oracle.n_max']} exceeds the "
+                          f"oracle cap {oracle.ORACLE_CAP}")
 
 
 # ---------------------------------------------------------------------
@@ -238,7 +235,8 @@ def check_freeness(cfg: dict) -> CheckResult:
                     patterns.PathPattern(ell))
     for lengths in LINEAR_FOREST_SAMPLES:
         lo = sum(lengths)
-        for n in sorted({lo, (lo + n_max) // 2, max(lo, n_max)}):
+        hi = max(lo, n_max)
+        for n in sorted({lo, (lo + hi) // 2, hi}):
             certify(f"H({n},{lengths}) vs {lengths}",
                     families.h_linear_forest(n, lengths),
                     patterns.LinearForestPattern(tuple(lengths)))
@@ -246,7 +244,8 @@ def check_freeness(cfg: dict) -> CheckResult:
         k = len(degrees)
         degrees = sorted(degrees, reverse=True)
         lo = sum(degrees) + k
-        for n in sorted({lo, (lo + n_max) // 2, max(lo, n_max)}):
+        hi = max(lo, n_max)
+        for n in sorted({lo, (lo + hi) // 2, hi}):
             certify(f"G({n},{k},{degrees[-1]}) vs stars{degrees}",
                     families.g_star_join(n, k, degrees[-1]),
                     patterns.StarForestPattern(tuple(degrees)))
@@ -267,21 +266,19 @@ def check_freeness(cfg: dict) -> CheckResult:
 
 def check_oracle(cfg: dict) -> CheckResult:
     n_max = cfg["oracle.n_max"]
-    override = bool(cfg["oracle.override"])
     bad: list[str] = []
     ran = 0
     for n in range(2, n_max + 1):
         for p in (2, 3):
             ran += 1
-            rep = oracle.max_ep(n, patterns.PathPattern(3), p, override_cap=override)
+            rep = oracle.max_ep(n, patterns.PathPattern(3), p)
             want = n - 1 if n % 2 == 1 else n
             if rep.max_value != want or not rep.unique:
                 bad.append(f"P_3 n={n} p={p}: {rep.max_value} (want {want}), "
                            f"unique={rep.unique}")
     for n in range(5, n_max + 1):
         ran += 1
-        rep = oracle.max_ep(n, patterns.StarForestPattern((1, 1)), 2,
-                            override_cap=override)
+        rep = oracle.max_ep(n, patterns.StarForestPattern((1, 1)), 2)
         want = (n - 1) ** 2 + (n - 1)
         if rep.max_value != want or not rep.unique:
             bad.append(f"2S_1 n={n}: {rep.max_value} (want {want}), "
@@ -289,15 +286,13 @@ def check_oracle(cfg: dict) -> CheckResult:
     for ell in range(2, 7):
         for n in range(2, n_max + 1):
             ran += 1
-            rep = oracle.ex_classical(n, patterns.PathPattern(ell),
-                                      override_cap=override)
+            rep = oracle.ex_classical(n, patterns.PathPattern(ell))
             want = formulas.ex_path(n, ell).value
             if rep.edges != want:
                 bad.append(f"P_{ell} n={n}: {rep.edges} edges (want {want})")
     for n in range(5, n_max + 1):
         ran += 1
-        rep = oracle.ex_classical(n, patterns.LinearForestPattern((2, 2)),
-                                  override_cap=override)
+        rep = oracle.ex_classical(n, patterns.LinearForestPattern((2, 2)))
         want = formulas.ex_linear_forest(n, [2, 2]).value
         if rep.edges != want:
             bad.append(f"2P_2 n={n}: {rep.edges} edges (want {want})")
@@ -362,6 +357,8 @@ def check_rewrites(cfg: dict) -> CheckResult:
             s = i % 3
             g, v, site = rewrites.demo_instance(kind, ell, s, rng)
             ran += 1
+            if site not in rewrites.find_sites(g, v):
+                bad.append(f"{kind}#{i}: planted site not found")
             try:
                 g2 = rewrites.apply_rewrite(g, v, site, ell, s)
             except rewrites.SiteError as exc:

@@ -299,7 +299,7 @@ def test_criterion_2_freeness_certification():
 
 def test_criterion_3_oracle_equivalence():
     bad = []
-    for n in range(2, 9):
+    for n in range(2, 10):
         want = n - 1 if n % 2 == 1 else n
         mn_code = canonical_code(families.matching_graph(n))
         for p in (2, 3):
@@ -311,7 +311,7 @@ def test_criterion_3_oracle_equivalence():
             codes = {canonical_code(g6_decode(g6)) for g6, _ in rep.maximizers}
             if codes != {mn_code}:
                 bad.append(f"P3 n={n} p={p}: maximizer is not M_n")
-    for n in range(5, 9):
+    for n in range(5, 10):
         rep = oracle.max_ep(n, patterns.StarForestPattern((1, 1)), 2)
         want = (n - 1) ** 2 + (n - 1)
         star_code = canonical_code(families.star_graph(n - 1))
@@ -323,18 +323,31 @@ def test_criterion_3_oracle_equivalence():
         if codes != {star_code}:
             bad.append(f"2S1 n={n}: maximizer is not S_(n-1)")
     for ell in range(2, 7):
-        for n in range(2, 9):
+        for n in range(2, 10):
             rep = oracle.ex_classical(n, patterns.PathPattern(ell))
             want = formulas.ex_path(n, ell).value
             if rep.edges != want:
                 bad.append(f"ex P{ell} n={n}: {rep.edges} != {want}")
-    for n in range(5, 9):
+    for n in range(5, 10):
         rep = oracle.ex_classical(n, patterns.LinearForestPattern((2, 2)))
         want = formulas.ex_linear_forest(n, [2, 2]).value
         if rep.edges != want:
             bad.append(f"ex 2P2 n={n}: {rep.edges} != {want}")
+    # n = 9, the top of the oracle's range: closed forms exact at every n
+    for r in (1, 2, 3, 8):
+        for p in (1, 2, 3):
+            rep = oracle.max_ep(9, patterns.StarPattern(r), p)
+            want = formulas.exp_star(9, r, p).value
+            if rep.max_value != want:
+                bad.append(f"S{r} n=9 p={p}: {rep.max_value} != {want}")
+    for s in (1, 2, 5):
+        rep = oracle.ex_classical(9, patterns.BroomPattern(4, s))
+        want = formulas.ex_broom4(9, s).value
+        if rep.edges != want:
+            bad.append(f"ex B(4,{s}) n=9: {rep.edges} != {want}")
     report(3, "oracle equivalence (P3 values+unique M_n, 2S_1 values+unique "
-              "star, classical P_ell and 2P_2 agreement, n <= 8)", bad)
+              "star, classical P_ell and 2P_2 agreement, n <= 9; S_r and "
+              "classical B_{4,s} at n = 9)", bad)
 
 
 # ---------------------------------------------------------------------
@@ -526,7 +539,7 @@ def test_criterion_7d_oracle_determinism():
     bad = []
     golden = json.loads(GOLDEN_ORACLE.read_text())["entries"]
     keys = set()
-    for n in range(2, 9):
+    for n in range(2, 10):
         for pat in BATTERY:
             for p in (1, 2, 3):
                 key = f"{pat.text()}|n={n}|p={p}"
@@ -544,4 +557,4 @@ def test_criterion_7d_oracle_determinism():
     if oracle.max_ep(7, patterns.PathPattern(4), 2) != base:
         bad.append("rerun differs")
     report(7, "criterion 7d: oracle equals the frozen golden table on the 7b "
-              "battery (n <= 8, p <= 3) and reruns identically", bad)
+              "battery (n <= 9, p <= 3) and reruns identically", bad)

@@ -185,7 +185,7 @@ def test_out_format_not_printed_is_usage_error(capsys, argv):
 
 
 def test_oracle_removed_flags_are_usage_errors(capsys):
-    for flag in (["--threads", "2"], ["--no-prune"]):
+    for flag in (["--threads", "2"], ["--no-prune"], ["--override-cap"]):
         code, _, _ = run(capsys, "oracle", "--pattern", "path:3", "--n", "5",
                          "--p", "2", *flag)
         assert code == 2
@@ -229,6 +229,19 @@ def test_formula_resolve_base(capsys):
     assert obj["meta"]["base_n"] == "6"
 
 
+def test_formula_resolve_base_at_the_cap(capsys):
+    code, out, _ = run(capsys, "formula", "--name", "ex_broom5",
+                       "--n", "9", "--s", "3", "--resolve-base")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["meta"]["base_n"] == "9" and obj["meta"]["base_value"] == "22"
+    assert obj["value"] == "22"
+    code, out, err = run(capsys, "formula", "--name", "ex_broom5",
+                         "--n", "10", "--s", "3", "--resolve-base")
+    assert code == 1 and out == ""
+    assert "base instance n=10 exceeds oracle cap 9" in err
+
+
 def test_verify_only_e4(capsys):
     code, out, _ = run(capsys, "verify", "--only", "e4")
     assert code == 0
@@ -241,12 +254,12 @@ def test_verify_config_cap_error(tmp_path, capsys):
     cfg.write_text("oracle.n_max = 12\n")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 1
-    assert "exceeds the oracle cap 8" in err  # message names the cap
-    # with the override in force the message names the hard cap instead
-    cfg.write_text("oracle.n_max = 10\noracle.override = 1\n")
+    assert "oracle.n_max=12 exceeds the oracle cap 9" in err
+    # there is one cap: oracle.override is not a config key
+    cfg.write_text("oracle.n_max = 9\noracle.override = 1\n")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 1
-    assert "exceeds the oracle hard cap 9" in err and "cap 8" not in err
+    assert "unknown or malformed entry 'oracle.override = 1'" in err
 
 
 def test_verify_empty_check_fails(tmp_path, capsys):
@@ -265,6 +278,43 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     cfg.write_text("wat = 3\n")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 1 and "unknown" in err
+
+
+def test_verify_freeness_below_sample_orders(tmp_path, capsys):
+    # n_max = 8 is below most samples' orders: each runs at its own order
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("freeness.n_max = 8\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg),
+                       "--only", "freeness")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["pass"] is True and obj["detail"] == "59 instances, 0 failures"
+
+
+@pytest.mark.parametrize("key, value", [("lemmas.span", "-3"),
+                                        ("consistency.big_n", "200,-5")])
+def test_verify_config_rejects_negative(tmp_path, capsys, key, value):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert f"{key} must not be negative" in err
+
+
+def test_lemmas_rejects_negative_span(capsys):
+    code, out, err = run(capsys, "lemmas", "--span", "-3")
+    assert code == 1 and out == ""
+    assert "lemmas.span must not be negative, got -3" in err
+
+
+def test_verify_rewrites_needs_site_discovery(monkeypatch, capsys):
+    monkeypatch.setattr(turanp.rewrites, "find_sites", lambda g, v: [])
+    code, out, _ = run(capsys, "verify", "--only", "rewrites")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["pass"] is False
+    assert obj["detail"].startswith("50 instances, 50 failures; first: "
+                                    "edge#0: planted site not found")
 
 
 def test_lemmas_cmd(capsys):

@@ -123,15 +123,14 @@ def test_determinism_and_threads_accepted():
         max_ep(6, PathPattern(4), 2, threads=0)
 
 
-def test_cap_and_override():
-    with pytest.raises(ValueError):
-        max_ep(9, PathPattern(3), 2)
-    with pytest.raises(ValueError):
-        max_ep(1, PathPattern(3), 2)
-    rep = max_ep(9, PathPattern(2), 2, override_cap=True)
+def test_oracle_cap():
+    assert oracle.ORACLE_CAP == 9
+    assert _all_classes.cache_parameters()["maxsize"] == oracle.ORACLE_CAP
+    rep = max_ep(9, PathPattern(2), 2)
     assert rep.max_value == 0
-    with pytest.raises(ValueError):
-        max_ep(10, PathPattern(2), 2, override_cap=True)
+    for n in (1, 10):
+        with pytest.raises(ValueError, match=f"2 <= n <= 9, got n={n}"):
+            max_ep(n, PathPattern(2), 2)
 
 
 def test_pattern_larger_than_host():
