@@ -90,20 +90,33 @@ untested, so the number of matcher calls, and with it the split of
 `bases_cut` count twin orbits of masks and classes, which do not depend
 on the labelling, so they do not move.
 
-The levels below the pattern's order are shared across searches.  No
-graph on fewer vertices than the pattern contains it, so there no mask is
-rejected: every `contains_through` call returns False at once and no
-submask verdict is a rejection.  `_extensions` then yields the same
-(base, mask) sequence with or without a matcher, and the classes, their
-labellings, their order and `graphs_visited` are those of the search with
-no pattern, with `pruned_heredity` and `pruned_matcher` 0.  So they depend
-on neither the pattern nor p.  `_all_classes` builds these pattern-free
-levels once per process, each from the cached level below it, on the
-first query that needs them; `nonisomorphic_graphs` reads the same cache.
-A search copies level pn - 1 (pn the pattern's order), adds the
-extensions examined to build it, and runs the matcher only from level pn
-on.  Answers, maximizers and every counter under `meta` are those of a
-search that grows every level with the matcher.
+Every level below the last is built once per process and shared across
+searches.  No graph on fewer vertices than the pattern contains it, so
+below the pattern's order no mask is rejected: every `contains_through`
+call returns False at once and no submask verdict is a rejection.
+`_extensions` then yields the same (base, mask) sequence with or without a
+matcher, and the classes, their labellings, their order and
+`graphs_visited` are those of the search with no pattern, with
+`pruned_heredity` and `pruned_matcher` 0.  So they depend on neither the
+pattern nor p, and `_all_classes` builds these pattern-free levels, each
+from the cached level below it, on the first query that needs them;
+`nonisomorphic_graphs` reads the same cache.  From the pattern's order pn
+on, a level depends on the pattern but on neither p nor n:
+`_pattern_level` keeps it under the pattern's edge tuple and k, built
+with the matcher from the cached level below it (level pn from the shared
+level pn - 1), with the counters of building levels 1..k.  A search copies
+level n - 1 and adds its counters; only the last level, whose bound
+depends on p, is its own.  Answers, maximizers and every counter under
+`meta` are those of a search that grows every level with the matcher,
+whatever is cached.
+
+The pattern levels' cache holds the 4 * ORACLE_CAP levels used last, and
+each pattern's `AnchoredMatcher` is cached beside them; the shared levels
+have a cache of their own, which pattern levels never evict.  At
+ORACLE_CAP a level on 8 vertices is the largest a pattern keeps: the one
+of `star:7` holds 11,302 classes in 1.2 MB, and the 36 largest such
+levels of the 48 patterns `parse_pattern` can give one hold 7.7 MB
+together (CPython 3.11).
 
 Search counters under `meta`: `graphs_visited` counts the extensions
 examined (one per class and twin-ordered mask; masks skipped for their
@@ -311,18 +324,45 @@ def _all_classes(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(level), visited + counts.visited
 
 
+# the levels used last: a sweep over the golden table, n outermost over
+# 13 patterns, rereads each pattern's level n - 2 after 26 other levels
+@lru_cache(maxsize=4 * ORACLE_CAP)
+def _pattern_level(edges: tuple[tuple[int, int], ...], k: int
+                   ) -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
+    """(classes, visited, heredity, matcher) for k >= the pattern's order:
+    the pattern-free isomorphism classes on k vertices, grown with the
+    matcher from the cached level k - 1, and the counters of building
+    levels 1..k."""
+    matcher = _matcher(edges)
+    if k == matcher.pn:
+        below, visited = _all_classes(k - 1)
+        counts = _Counts(visited)
+    else:
+        below, *counters = _pattern_level(edges, k - 1)
+        counts = _Counts(*counters)
+    level = tuple(_level(below, k, matcher, counts))
+    return level, counts.visited, counts.heredity, counts.matcher
+
+
+@lru_cache(maxsize=4 * ORACLE_CAP)
+def _matcher(edges: tuple[tuple[int, int], ...]) -> AnchoredMatcher:
+    return AnchoredMatcher(edges)
+
+
 def _classes(k: int, matcher: AnchoredMatcher | None,
              counts: _Counts) -> list[tuple[int, ...]]:
     """One rows tuple per pattern-free isomorphism class on k vertices:
-    the shared levels up to the pattern's order - 1 (see the module
-    docstring), grown with the matcher from there."""
-    start = k if matcher is None else min(k, matcher.pn - 1)
-    shared, visited = _all_classes(start)
+    the shared levels up to the pattern's order - 1 and the pattern's own
+    levels from there (see the module docstring)."""
+    if matcher is None or k < matcher.pn:
+        classes, visited = _all_classes(k)
+        counts.visited += visited
+        return list(classes)
+    classes, visited, heredity, hits = _pattern_level(matcher.edges, k)
     counts.visited += visited
-    classes = list(shared)
-    for j in range(start + 1, k + 1):
-        classes = _level(classes, j, matcher, counts)
-    return classes
+    counts.heredity += heredity
+    counts.matcher += hits
+    return list(classes)
 
 
 def max_ep(n: int, pattern: ForestPattern, p: int, *,
@@ -346,7 +386,7 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *,
         best = n * (n - 1) ** p
         tied = [[full ^ 1 << v for v in range(n)]]
     else:
-        matcher = AnchoredMatcher(pattern.edge_list())
+        matcher = _matcher(tuple(pattern.edge_list()))
         power = [d ** p for d in range(n)]
         # (U, degrees, base) with U = e_p(base + a vertex joined to all)
         # bounding every extension of the base; stable, so bases tied on U
@@ -445,5 +485,8 @@ def all_graphs(n: int):
 
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on n vertices: the
-    oracle's extension loop with no pattern."""
+    oracle's extension loop with no pattern, for 0 <= n <= ORACLE_CAP."""
+    if not 0 <= n <= ORACLE_CAP:
+        raise ValueError(f"nonisomorphic_graphs handles 0 <= n <= "
+                         f"{ORACLE_CAP}, got n={n}")
     return tuple(Graph(n, rows) for rows in _all_classes(n)[0])

@@ -570,6 +570,7 @@ class AnchoredMatcher:
     def __init__(self, edges: list[tuple[int, int]]):
         edges = [tuple(e) for e in edges]
         _check_forest(edges)
+        self.edges = tuple(edges)
         self.pn = pattern_order(edges)
         padj = [0] * self.pn
         for u, v in edges:

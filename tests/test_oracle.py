@@ -18,6 +18,7 @@ from turanp.oracle import (
     _extensions,
     _level,
     _new_vertex_largest,
+    _pattern_level,
     _rows,
     all_graphs,
     ex_classical,
@@ -155,6 +156,13 @@ def test_nonisomorphic_counts():
             == [1, 1, 2, 4, 11, 34, 156, 1044, 12346])
 
 
+def test_nonisomorphic_graphs_range():
+    assert len(nonisomorphic_graphs(0)) == 1
+    for n in (-1, oracle.ORACLE_CAP + 1):
+        with pytest.raises(ValueError, match=f"0 <= n <= 9, got n={n}"):
+            nonisomorphic_graphs(n)
+
+
 def test_nonisomorphic_graphs_cannot_be_changed_by_a_caller():
     first = nonisomorphic_graphs(4)
     with pytest.raises(AttributeError):
@@ -174,11 +182,19 @@ def test_pattern_free_class_counts(spec, count):
     assert len(_classes(7, matcher, _Counts())) == count
 
 
+def clear_levels():
+    """Empty the shared pattern-free levels and the pattern levels."""
+    _all_classes.cache_clear()
+    _pattern_level.cache_clear()
+
+
 @pytest.fixture
 def cold_levels():
-    """Empty the shared pattern-free levels, so that a test counting
-    canonical_code calls counts every level, whatever ran before it."""
-    _all_classes.cache_clear()
+    """Empty both level caches, so that a test counting canonical_code or
+    matcher calls counts every level, whatever ran before it; the test may
+    call the returned function to empty them again."""
+    clear_levels()
+    return clear_levels
 
 
 @pytest.mark.usefixtures("cold_levels")
@@ -298,19 +314,25 @@ def test_base_bound_saves_matcher_calls(monkeypatch, spec, n, all_extensions,
     ("stars:2,2", 7, 565, 684, 369),
     ("linear:3,2", 8, 195, 211, 195),
 ])
-def test_shared_levels_save_matcher_calls(monkeypatch, spec, n, want,
-                                          calls_top_edge_only, calls_max_ep):
+def test_shared_levels_save_matcher_calls(monkeypatch, cold_levels, spec, n,
+                                          want, calls_top_edge_only,
+                                          calls_max_ep):
     # the counts of the two tests above with the levels below the pattern's
     # order shared, as _classes and max_ep run: those levels make no calls
     calls = _count_matcher_calls(monkeypatch)
     matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
     bases = _classes(n - 1, matcher, _Counts())
+    level_calls = calls()
     for _ in _extensions(bases, n, matcher, _Counts()):
         pass
     assert calls() == want
     assert want < calls_top_edge_only
+    cold_levels()
     max_ep(n, parse_pattern(spec), 2)
     assert calls() - want == calls_max_ep <= want
+    # warm, the pattern's levels are cached: only the last level calls
+    max_ep(n, parse_pattern(spec), 2)
+    assert calls() - want - calls_max_ep == calls_max_ep - level_calls
 
 
 def _count_matcher_calls(monkeypatch):
@@ -346,16 +368,24 @@ def test_matcher_never_called_below_pattern_order(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",
                                   "stars:1,1"])
-def test_shared_levels_match_growing_every_level(spec):
+def test_shared_levels_match_growing_every_level(cold_levels, spec):
     # below the pattern's order nothing is rejected, so the shared levels
     # are the classes, in the order and with the counters, of a search
-    # that grows them with the matcher
+    # that grows them with the matcher; from there the pattern's cached
+    # levels are that search's, built cold or after other queries
     matcher = AnchoredMatcher(parse_pattern(spec).edge_list())
-    for k in range(8):
-        counts, want_counts = _Counts(), _Counts()
-        classes = _classes(k, matcher, counts)
-        want = classes_growing_every_level(k, matcher, want_counts)
-        assert (classes, counts) == (want, want_counts), k
+    for warm in (False, True):
+        if warm:
+            for other in CLASS_COUNTS:
+                for n in range(2, 9):
+                    max_ep(n, parse_pattern(other), 2)
+        for k in range(8):
+            if not warm:
+                cold_levels()
+            counts, want_counts = _Counts(), _Counts()
+            classes = _classes(k, matcher, counts)
+            want = classes_growing_every_level(k, matcher, want_counts)
+            assert (classes, counts) == (want, want_counts), (warm, k)
 
 
 def test_reports_are_the_same_cold_and_warm():
@@ -363,23 +393,52 @@ def test_reports_are_the_same_cold_and_warm():
         pattern = parse_pattern(spec)
         for n in range(2, 9):
             for p in (1, 2, 3):
-                _all_classes.cache_clear()
+                clear_levels()
                 cold = max_ep(n, pattern, p).to_json()
                 assert max_ep(n, pattern, p).to_json() == cold, (spec, n, p)
 
 
 def test_queries_leave_the_shared_levels_unchanged():
-    for spec in CLASS_COUNTS:
-        pattern = parse_pattern(spec)
-        matcher = AnchoredMatcher(pattern.edge_list())
+    matchers = [AnchoredMatcher(parse_pattern(spec).edge_list())
+                for spec in CLASS_COUNTS]
+    for spec, matcher in zip(CLASS_COUNTS, matchers):
         for k in range(8):
             _classes(k, matcher, _Counts()).clear()
         for n in range(2, 8):
-            max_ep(n, pattern, 2)
+            max_ep(n, parse_pattern(spec), 2)
     nonisomorphic_graphs(7)
-    seen = [_all_classes(k) for k in range(8)]
-    _all_classes.cache_clear()
-    assert [_all_classes(k) for k in range(8)] == seen
+
+    def levels():
+        out = [_all_classes(k) for k in range(8)]
+        for matcher in matchers:
+            for k in range(8):
+                counts = _Counts()
+                out.append((_classes(k, matcher, counts), counts))
+        return out
+
+    seen = levels()
+    clear_levels()
+    assert levels() == seen
+
+
+def test_pattern_levels_are_bounded(cold_levels):
+    # more pattern levels than the cache holds: the first pattern's are
+    # evicted and rebuilt the same, and the shared levels stay cached
+    bound = _pattern_level.cache_parameters()["maxsize"]
+    nonisomorphic_graphs(7)
+    shared = _all_classes.cache_info().misses
+    first = parse_pattern("path:4")
+    want = max_ep(8, first, 2).to_json()
+    for spec in [*(f"path:{m}" for m in (2, 3, 5, 6, 7)),
+                 *(f"star:{r}" for r in range(2, 7)), "stars:1,1",
+                 "stars:2,1"]:
+        max_ep(8, parse_pattern(spec), 2)
+        assert _pattern_level.cache_info().currsize <= bound
+    assert _pattern_level.cache_info().misses > bound
+    built = _pattern_level.cache_info().misses
+    assert max_ep(8, first, 2).to_json() == want
+    assert _pattern_level.cache_info().misses > built
+    assert _all_classes.cache_info().misses == shared
 
 
 def test_import_builds_no_levels():
@@ -387,11 +446,12 @@ def test_import_builds_no_levels():
     src = str(Path(oracle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import turanp\n"
-            "print(turanp.oracle._all_classes.cache_info().currsize)")
+            "for cache in ('_all_classes', '_pattern_level', '_matcher'):\n"
+            "    print(getattr(turanp.oracle, cache).cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "0\n0\n0\n"
 
 
 def max_ep_unbounded(n, pattern, p):
@@ -457,8 +517,9 @@ def test_bases_cut(spec, n, cut):
 
 @pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",
                                   "stars:1,1", "path:9"])
-def test_pruned_is_heredity_plus_matcher(monkeypatch, spec):
-    # pruned_matcher counts the contains_through calls that found a copy
+def test_pruned_is_heredity_plus_matcher(monkeypatch, cold_levels, spec):
+    # pruned_matcher counts the contains_through calls that found a copy,
+    # so each query builds its levels cold
     hits = 0
     real = AnchoredMatcher.contains_through
 
@@ -471,6 +532,7 @@ def test_pruned_is_heredity_plus_matcher(monkeypatch, spec):
     monkeypatch.setattr(AnchoredMatcher, "contains_through", counted)
     for n in range(2, 8):
         for p in (1, 2):
+            cold_levels()
             hits = 0
             rep = max_ep(n, parse_pattern(spec), p)
             meta = rep.to_json()["meta"]
