@@ -36,6 +36,7 @@ so no orientation rule applies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graphs import Graph, iter_bits, lower_twins
@@ -318,7 +319,18 @@ def contains_star_forest(g: Graph, degrees, budget: int | None = None):
     """True iff g contains vertex-disjoint stars with the given centre
     degrees.  Centres are chosen by backtracking (largest star first,
     candidate centres in decreasing host degree); leaf availability is
-    decided exactly by bipartite b-matching, never greedily."""
+    decided exactly by bipartite b-matching, never greedily.
+
+    The matching lives in one list, match[leaf] = star index or -1, and
+    every write to it is logged as (leaf, previous value); a centre that
+    fails unwinds the log to the mark it took, so nothing is copied.  An
+    augmenting path bans the leaves it has visited in one bitmask and
+    takes leaves lowest first.  One step is spent per candidate centre
+    and one per augment call, the same steps in the same places as the
+    reference search on a copied match dict in tests/test_patterns.py,
+    so a budget decides exactly as it does there.  The steps are counted
+    down in a local copy of the budget's limit, which is cheaper than a
+    call per step."""
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(r < 1 for r in degrees):
         raise ValueError("star degrees must all be >= 1")
@@ -331,55 +343,69 @@ def contains_star_forest(g: Graph, degrees, budget: int | None = None):
     k = len(degrees)
     order = sorted(range(g.n), key=lambda v: (-degs[v], v))
 
-    # incremental b-matching: match maps leaf -> star index, kept across
-    # center choices and rolled back on backtrack
     centers: list[int] = []
     center_mask = 0
-    match: dict[int, int] = {}
+    match = [-1] * g.n
+    log: list[tuple[int, int]] = []
+    banned = 0
+    left = math.inf if bud.left is None else bud.left
 
-    def augment(i: int, banned: set[int]) -> bool:
-        bud.spend()
-        for leaf in iter_bits(rows[centers[i]] & ~center_mask):
-            if leaf in banned:
-                continue
-            banned.add(leaf)
-            j = match.get(leaf)
-            if j is None or augment(j, banned):
+    def augment(i: int) -> bool:
+        nonlocal banned, left
+        left -= 1
+        if left < 0:
+            raise _OutOfBudget
+        avail = rows[centers[i]] & ~center_mask
+        # reread banned after each try: the recursive calls extend it
+        while avail := avail & ~banned:
+            low = avail & -avail
+            banned |= low
+            leaf = low.bit_length() - 1
+            j = match[leaf]
+            if j < 0 or augment(j):
+                log.append((leaf, j))
                 match[leaf] = i
                 return True
         return False
 
     def choose(i: int) -> bool:
-        nonlocal center_mask
+        nonlocal center_mask, banned, left
         if i == k:
             return True
         for c in order:
-            bud.spend()
+            left -= 1
+            if left < 0:
+                raise _OutOfBudget
             if center_mask >> c & 1 or degs[c] < degrees[i]:
                 continue
             if lower[c] & ~center_mask:
                 continue
             if i > 0 and degrees[i] == degrees[i - 1] and c < centers[-1]:
                 continue
-            snapshot = dict(match)
+            mark = len(log)
             centers.append(c)
             center_mask |= 1 << c
             ok = True
-            if c in match:
+            j = match[c]
+            if j >= 0:
                 # c was serving as a leaf; its star must re-augment
-                j = match.pop(c)
-                ok = augment(j, set())
+                log.append((c, j))
+                match[c] = -1
+                banned = 0
+                ok = augment(j)
             if ok:
                 for _ in range(degrees[i]):
-                    if not augment(i, set()):
+                    banned = 0
+                    if not augment(i):
                         ok = False
                         break
             if ok and choose(i + 1):
                 return True
             centers.pop()
             center_mask &= ~(1 << c)
-            match.clear()
-            match.update(snapshot)
+            while len(log) > mark:
+                leaf, j = log.pop()
+                match[leaf] = j
         return False
 
     try:

@@ -17,7 +17,7 @@ from turanp.families import (
     star_graph,
 )
 from turanp.formulas import eg_bound
-from turanp.graphs import Graph
+from turanp.graphs import Graph, iter_bits
 from turanp.patterns import (
     UNKNOWN,
     AnchoredMatcher,
@@ -26,6 +26,7 @@ from turanp.patterns import (
     PathPattern,
     StarForestPattern,
     StarPattern,
+    _collapse_twins,
     contains,
     contains_broom,
     contains_forest_generic,
@@ -380,11 +381,97 @@ def test_detectors_match_generic_on_twin_rich_hosts():
     assert len(seen) == 2 * len(pats)  # every pattern met both answers
 
 
+def star_forest_by_snapshots(g, degrees, spend):
+    """Reference for contains_star_forest: the same search on a match dict
+    copied for every candidate centre and a fresh set of banned leaves per
+    augmentation, calling spend() at every step the budget counts."""
+    degrees = sorted(degrees, reverse=True)
+    g, lower = _collapse_twins(g, sum(degrees) + len(degrees))
+    if g.n < sum(degrees) + len(degrees):
+        return False
+    rows = g.rows
+    degs = [row.bit_count() for row in rows]
+    k = len(degrees)
+    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
+    centers = []
+    center_mask = 0
+    match = {}
+
+    def augment(i, banned):
+        spend()
+        for leaf in iter_bits(rows[centers[i]] & ~center_mask):
+            if leaf in banned:
+                continue
+            banned.add(leaf)
+            j = match.get(leaf)
+            if j is None or augment(j, banned):
+                match[leaf] = i
+                return True
+        return False
+
+    def choose(i):
+        nonlocal center_mask
+        if i == k:
+            return True
+        for c in order:
+            spend()
+            if center_mask >> c & 1 or degs[c] < degrees[i]:
+                continue
+            if lower[c] & ~center_mask:
+                continue
+            if i > 0 and degrees[i] == degrees[i - 1] and c < centers[-1]:
+                continue
+            snapshot = dict(match)
+            centers.append(c)
+            center_mask |= 1 << c
+            ok = True
+            if c in match:
+                j = match.pop(c)
+                ok = augment(j, set())
+            if ok:
+                for _ in range(degrees[i]):
+                    if not augment(i, set()):
+                        ok = False
+                        break
+            if ok and choose(i + 1):
+                return True
+            centers.pop()
+            center_mask &= ~(1 << c)
+            match.clear()
+            match.update(snapshot)
+        return False
+
+    return choose(0)
+
+
+def test_star_forest_search_matches_snapshot_reference():
+    # same verdict, and the same least budget that decides: the search
+    # spends its steps exactly where the reference does
+    rng = random.Random(53)
+    for trial in range(500):
+        n = rng.randint(2, 22)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.7]))
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        steps = 0
+
+        def spend():
+            nonlocal steps
+            steps += 1
+
+        want = star_forest_by_snapshots(g, degrees, spend)
+        where = f"g={list(g.edges())}, degrees={degrees}"
+        assert contains_star_forest(g, degrees) is want, where
+        assert contains_star_forest(g, degrees, budget=steps) is want, where
+        if steps:
+            assert contains_star_forest(g, degrees, budget=steps - 1) is UNKNOWN, where
+
+
 def test_extremal_hosts_certify_within_budget():
     cases = [(text, n, h_linear_forest(n, list(parse_pattern(text).lengths)))
              for text in ("linear:4,4,4", "linear:5,5,5", "linear:3,3,2,2")
              for n in range(parse_pattern(text).order(), 65)]
-    cases += [("stars:2,2,2,2", n, g_star_join(n, 4, 2)) for n in range(12, 30)]
+    cases += [("stars:2,2,2,2", n, g_star_join(n, 4, 2)) for n in range(12, 38)]
+    cases += [("stars:3,3,3", n, g_star_join(n, 3, 3)) for n in range(12, 34)]
     cases += [("path:6", n, h_path(n, 6)) for n in range(6, 65)]
     cases += [("broom:5,2", n, k_join_matching(n, 2)) for n in range(7, 65)]
     cases += [("broom:6,1", n, h_path(n, 6)) for n in range(7, 65)]
