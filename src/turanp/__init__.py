@@ -85,7 +85,6 @@ from .oracle import (
     ORACLE_CAP,
     OracleReport,
     all_graphs,
-    ex_classical,
     max_ep,
     max_ep_exhaustive,
     nonisomorphic_graphs,

@@ -156,8 +156,7 @@ def cmd_formula(args) -> int:
     res = fn(args)
     if isinstance(res, formulas.UnspecifiedBase) and args.resolve_base:
         if res.base_n <= oracle.ORACLE_CAP:
-            base = oracle.ex_classical(res.base_n,
-                                       patterns.BroomPattern(5, res.s))
+            base = oracle.max_ep(res.base_n, patterns.BroomPattern(5, res.s), 1)
             obj = res.to_json()
             obj["meta"]["base_value"] = str(base.edges)
             obj["value"] = str(res.total_given(base.edges))

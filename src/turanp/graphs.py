@@ -111,9 +111,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.rows[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
             for w in iter_bits(self.rows[v] >> (v + 1) << (v + 1)):
@@ -139,20 +136,6 @@ class Graph:
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
         return Graph(self.n, tuple(rows))
-
-    def induced(self, keep: Iterable[int]) -> "Graph":
-        """Induced subgraph on ``keep``, relabelled 0..len(keep)-1 in order."""
-        keep = list(keep)
-        pos = {v: i for i, v in enumerate(keep)}
-        if len(pos) != len(keep) or not all(0 <= v < self.n for v in keep):
-            raise ValueError(f"induced: {keep} is not a list of distinct vertices")
-        rows = [0] * len(keep)
-        for i, v in enumerate(keep):
-            for w in iter_bits(self.rows[v]):
-                j = pos.get(w)
-                if j is not None:
-                    rows[i] |= 1 << j
-        return Graph._trusted(len(keep), tuple(rows))
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, ordered by least vertex."""

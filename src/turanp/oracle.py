@@ -430,12 +430,6 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *,
                         counts.matcher, cut)
 
 
-def ex_classical(n: int, pattern: ForestPattern) -> OracleReport:
-    """Classical Turan search: same enumeration maximizing the edge count
-    (reported max_value is e_1 = twice the edge count)."""
-    return max_ep(n, pattern, 1)
-
-
 def max_ep_exhaustive(n: int, pattern: ForestPattern, p: int) -> int:
     """Maximum e_p over ALL pattern-free labeled graphs, by sheer
     enumeration (soundness reference for the isomorph-free search;

@@ -8,9 +8,12 @@ the budget runs out, never a wrong answer.
 Hosts are first shrunk by twin collapsing: vertices with identical
 neighbourhoods (open or closed) are interchangeable for containment, so
 each twin class can be capped at the pattern order without changing the
-answer.  This makes freeness checks on the dense extremal constructions
-(huge twin classes) cheap.  The generic edge-list detector deliberately
-skips this preprocessing so the two routes stay independent.
+answer.  One pass over the twin classes does it, and gives a mask of
+kept vertices; the detectors search inside that mask in the host's own
+numbering, so no smaller graph is built.  This makes freeness checks on
+the dense extremal constructions (huge twin classes) cheap.  The generic
+edge-list detector deliberately skips this preprocessing so the two
+routes stay independent.
 
 The path, linear-forest, broom and star-forest searches also break the
 symmetry that the remaining twin classes leave.  Swapping two twins is an
@@ -237,19 +240,23 @@ def parse_pattern(text: str) -> ForestPattern:
 # twin reduction
 # ---------------------------------------------------------------------
 
-def _collapse_twins(g: Graph, cap: int) -> tuple[Graph, list[int]]:
-    """Cap every twin class (open or closed) at ``cap`` vertices, and
-    return the result with lower[v], the mask of v's lower-numbered twins.
+def _collapse_twins(g: Graph, cap: int) -> tuple[list[int], int, list[int]]:
+    """Cap every twin class (open or closed) at ``cap`` vertices, keeping
+    host numbers: return the rows masked to the kept vertices, the mask
+    `kept` of those vertices, and lower[v], the mask of v's lower-numbered
+    twins.
 
     A pattern copy uses at most `cap` = pattern-order host vertices, and
     twins are interchangeable, so keeping the lowest min(class size, cap)
-    of every class preserves containment exactly."""
-    while True:
-        lower = lower_twins(g.rows)
-        keep = [v for v in range(g.n) if lower[v].bit_count() < cap]
-        if len(keep) == g.n:
-            return g, lower
-        g = g.induced(keep)
+    of every class preserves containment exactly.  A kept vertex's lower
+    twins are kept too, so lower[v] is also its twins among the kept
+    vertices: one pass loses no twins, and when cap >= 2 (every pattern
+    order) it makes none, since a dropped vertex that told two kept
+    vertices apart leaves at least two kept twins, one of them neither of
+    the two, which tells them apart the same way."""
+    lower = lower_twins(g.rows)
+    kept = sum(1 << v for v, low in enumerate(lower) if low.bit_count() < cap)
+    return [row & kept for row in g.rows], kept, lower
 
 
 # ---------------------------------------------------------------------
@@ -286,11 +293,9 @@ def contains_linear_forest(g: Graph, lengths, budget: int | None = None):
     if not lengths or any(l < 2 for l in lengths):
         raise ValueError("path orders must all be >= 2")
     bud = _Budget(budget)
-    g, lower = _collapse_twins(g, sum(lengths))
-    if g.n < sum(lengths):
+    rows, kept, lower = _collapse_twins(g, sum(lengths))
+    if kept.bit_count() < sum(lengths):
         return False
-    rows = g.rows
-    full = (1 << g.n) - 1
     failed: set[tuple[int, int]] = set()
 
     def place(i: int, avail: int) -> bool:
@@ -310,7 +315,7 @@ def contains_linear_forest(g: Graph, lengths, budget: int | None = None):
         return False
 
     try:
-        return place(0, full)
+        return place(0, kept)
     except _OutOfBudget:
         return UNKNOWN
 
@@ -335,13 +340,12 @@ def contains_star_forest(g: Graph, degrees, budget: int | None = None):
     if not degrees or any(r < 1 for r in degrees):
         raise ValueError("star degrees must all be >= 1")
     bud = _Budget(budget)
-    g, lower = _collapse_twins(g, sum(degrees) + len(degrees))
-    if g.n < sum(degrees) + len(degrees):
+    rows, kept, lower = _collapse_twins(g, sum(degrees) + len(degrees))
+    if kept.bit_count() < sum(degrees) + len(degrees):
         return False
-    rows = g.rows
     degs = [row.bit_count() for row in rows]
     k = len(degrees)
-    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
+    order = sorted(iter_bits(kept), key=lambda v: (-degs[v], v))
 
     centers: list[int] = []
     center_mask = 0
@@ -421,13 +425,12 @@ def contains_broom(g: Graph, ell: int, s: int, budget: int | None = None):
     if ell < 4 or s < 0:
         raise ValueError("broom needs ell >= 4, s >= 0")
     bud = _Budget(budget)
-    g, lower = _collapse_twins(g, ell + s)
-    if g.n < ell + s:
+    rows, kept, lower = _collapse_twins(g, ell + s)
+    if kept.bit_count() < ell + s:
         return False
-    rows = g.rows
     try:
         return any((rows[end] & ~mask).bit_count() > s
-                   for mask, _, end in _paths(rows, lower, ell - 1, (1 << g.n) - 1, bud))
+                   for mask, _, end in _paths(rows, lower, ell - 1, kept, bud))
     except _OutOfBudget:
         return UNKNOWN
 

@@ -286,13 +286,13 @@ def check_oracle(cfg: dict) -> CheckResult:
     for ell in range(2, 7):
         for n in range(2, n_max + 1):
             ran += 1
-            rep = oracle.ex_classical(n, patterns.PathPattern(ell))
+            rep = oracle.max_ep(n, patterns.PathPattern(ell), 1)
             want = formulas.ex_path(n, ell).value
             if rep.edges != want:
                 bad.append(f"P_{ell} n={n}: {rep.edges} edges (want {want})")
     for n in range(5, n_max + 1):
         ran += 1
-        rep = oracle.ex_classical(n, patterns.LinearForestPattern((2, 2)))
+        rep = oracle.max_ep(n, patterns.LinearForestPattern((2, 2)), 1)
         want = formulas.ex_linear_forest(n, [2, 2]).value
         if rep.edges != want:
             bad.append(f"2P_2 n={n}: {rep.edges} edges (want {want})")

@@ -324,12 +324,12 @@ def test_criterion_3_oracle_equivalence():
             bad.append(f"2S1 n={n}: maximizer is not S_(n-1)")
     for ell in range(2, 7):
         for n in range(2, 10):
-            rep = oracle.ex_classical(n, patterns.PathPattern(ell))
+            rep = oracle.max_ep(n, patterns.PathPattern(ell), 1)
             want = formulas.ex_path(n, ell).value
             if rep.edges != want:
                 bad.append(f"ex P{ell} n={n}: {rep.edges} != {want}")
     for n in range(5, 10):
-        rep = oracle.ex_classical(n, patterns.LinearForestPattern((2, 2)))
+        rep = oracle.max_ep(n, patterns.LinearForestPattern((2, 2)), 1)
         want = formulas.ex_linear_forest(n, [2, 2]).value
         if rep.edges != want:
             bad.append(f"ex 2P2 n={n}: {rep.edges} != {want}")
@@ -341,7 +341,7 @@ def test_criterion_3_oracle_equivalence():
             if rep.max_value != want:
                 bad.append(f"S{r} n=9 p={p}: {rep.max_value} != {want}")
     for s in (1, 2, 5):
-        rep = oracle.ex_classical(9, patterns.BroomPattern(4, s))
+        rep = oracle.max_ep(9, patterns.BroomPattern(4, s), 1)
         want = formulas.ex_broom4(9, s).value
         if rep.edges != want:
             bad.append(f"ex B(4,{s}) n=9: {rep.edges} != {want}")

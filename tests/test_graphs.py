@@ -69,23 +69,6 @@ def test_validation_rejects_bad_rows():
         Graph.empty(65)
 
 
-def test_induced_matches_from_edges():
-    # induced builds its rows without re-validating them; they must equal
-    # the validated construction from the induced edge list
-    rng = random.Random(11)
-    for _ in range(500):
-        n = rng.randint(0, 16)
-        g = random_graph(rng, n, rng.random())
-        keep = rng.sample(range(n), rng.randint(0, n))
-        pos = {v: i for i, v in enumerate(keep)}
-        edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
-        assert g.induced(keep) == Graph.from_edges(len(keep), edges)
-    g = path_graph(4)
-    for keep in ([0, 1, 0], [0, 4], [-1, 2]):
-        with pytest.raises(ValueError):
-            g.induced(keep)
-
-
 def test_iter_bits():
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert list(iter_bits(0)) == []

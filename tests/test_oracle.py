@@ -21,7 +21,6 @@ from turanp.oracle import (
     _pattern_level,
     _rows,
     all_graphs,
-    ex_classical,
     max_ep,
     max_ep_exhaustive,
     nonisomorphic_graphs,
@@ -63,10 +62,10 @@ def test_two_disjoint_edges_oracle_example():
 
 
 def test_classical_examples():
-    rep = ex_classical(8, PathPattern(4))
+    rep = max_ep(8, PathPattern(4), 1)
     assert rep.edges == 7 == ex_path(8, 4).value
-    assert ex_classical(7, PathPattern(3)).edges == 3
-    assert ex_classical(6, LinearForestPattern((2, 2))).edges == 5
+    assert max_ep(7, PathPattern(3), 1).edges == 3
+    assert max_ep(6, LinearForestPattern((2, 2)), 1).edges == 5
 
 
 def test_below_window_disagreement_is_recorded():

@@ -17,7 +17,7 @@ from turanp.families import (
     star_graph,
 )
 from turanp.formulas import eg_bound
-from turanp.graphs import Graph, iter_bits
+from turanp.graphs import Graph, iter_bits, lower_twins
 from turanp.patterns import (
     UNKNOWN,
     AnchoredMatcher,
@@ -340,15 +340,15 @@ def test_anchored_matcher_keeps_one_plan_per_edge_orbit():
 # twin classes: symmetry breaking must stay exact and must finish
 # ---------------------------------------------------------------------
 
-def blow_up(rng, planted=None):
+def blow_up(rng, planted=None, most=3):
     """A random 4-6 vertex graph with each vertex replaced by an open
-    (independent) or closed (clique) twin class of 1-3 vertices, plus
-    optionally a copy of `planted` on random vertices, under a random
+    (independent) or closed (clique) twin class of 1-`most` vertices,
+    plus optionally a copy of `planted` on random vertices, under a random
     labelling."""
     base = random_graph(rng, rng.randint(4, 6), rng.choice([0.3, 0.5, 0.7]))
     classes, n = [], 0
     for _ in range(base.n):
-        size = rng.randint(1, 3)
+        size = rng.randint(1, most)
         classes.append(range(n, n + size))
         n += size
     edges = set()
@@ -358,6 +358,13 @@ def blow_up(rng, planted=None):
         for y in range(x):
             if base.has_edge(x, y):
                 edges |= {(u, v) for u in classes[y] for v in classes[x]}
+    return plant_and_relabel(rng, n, edges, planted)
+
+
+def plant_and_relabel(rng, n, edges, planted=None):
+    """The graph on `edges`, plus optionally a copy of `planted` on random
+    vertices, under a random labelling."""
+    edges = set(edges)
     if planted is not None and planted.order() <= n:
         spots = rng.sample(range(n), planted.order())
         edges |= {tuple(sorted((spots[u], spots[v]))) for u, v in planted.edge_list()}
@@ -381,12 +388,107 @@ def test_detectors_match_generic_on_twin_rich_hosts():
     assert len(seen) == 2 * len(pats)  # every pattern met both answers
 
 
+def renumbered_collapse(g, cap):
+    """Reference twin collapse: the graph induced on the vertices with
+    fewer than `cap` lower twins, renumbered 0.. in their order, and the
+    list of those vertices."""
+    lower = lower_twins(g.rows)
+    keep = [v for v in range(g.n) if lower[v].bit_count() < cap]
+    pos = {v: i for i, v in enumerate(keep)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    return Graph.from_edges(len(keep), edges), keep
+
+
+def test_one_collapse_pass_is_a_fixpoint():
+    # what one pass keeps has no class above the cap and no new twins,
+    # so a second pass would drop nothing
+    rng = random.Random(59)
+    dropped = Counter()
+    for trial in range(700):
+        cap = 2 + trial % 7
+        g = blow_up(rng, most=cap + 2)
+        rows, kept, lower = _collapse_twins(g, cap)
+        h, keep = renumbered_collapse(g, cap)
+        assert kept == sum(1 << v for v in keep)
+        assert rows == [row & kept for row in g.rows]
+        assert lower == lower_twins(g.rows)
+        where = f"g={list(g.edges())}, cap={cap}"
+        h_lower = lower_twins(h.rows)
+        assert all(low.bit_count() < cap for low in h_lower), where
+        # the twins among the kept vertices are the host's, renumbered
+        pos = {v: i for i, v in enumerate(keep)}
+        assert h_lower == [sum(1 << pos[w] for w in iter_bits(lower[v]))
+                           for v in keep], where
+        # each class, named by its least vertex, keeps min(size, cap)
+        least = [(low | 1 << v) & -(low | 1 << v) for v, low in enumerate(lower)]
+        size = Counter(least)
+        left = Counter(least[v] for v in keep)
+        assert all(left[c] == min(size[c], cap) for c in size), where
+        dropped[cap] += g.n - h.n
+    assert all(dropped[cap] for cap in range(2, 9))
+
+
+def least_deciding_budget(decide):
+    """The least step budget at which decide(budget) is not UNKNOWN, with
+    the verdict it gives there."""
+    hi = 1
+    while decide(hi) is UNKNOWN:
+        hi *= 2
+    lo = -1  # decide(lo) is UNKNOWN, or lo is below every budget
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if decide(mid) is UNKNOWN:
+            lo = mid
+        else:
+            hi = mid
+    return hi, decide(hi)
+
+
+def test_collapse_keeps_host_numbers_and_search_steps():
+    # searching the kept vertices in host numbers spends the same steps as
+    # searching the renumbered collapse, whose own collapse drops nothing;
+    # hosts are blow-ups with classes above the pattern order and extremal
+    # hosts, with and without a planted copy, under a random labelling
+    rng = random.Random(61)
+    cases = [("path:5", lambda n: h_path(n, 5)),
+             ("path:6", lambda n: h_path(n, 6)),
+             ("linear:3,3", lambda n: h_linear_forest(n, [3, 3])),
+             ("linear:3,2,2", lambda n: h_linear_forest(n, [3, 2, 2])),
+             ("broom:5,2", lambda n: k_join_matching(n, 2)),
+             ("broom:6,1", lambda n: h_path(n, 6)),
+             ("stars:2,2", lambda n: g_star_join(n, 2, 2)),
+             ("stars:2,1,1", lambda n: g_star_join(n, 3, 1))]
+    renumbered = 0
+    seen = set()
+    for trial in range(320):
+        text, build = cases[trial % len(cases)]
+        pat = parse_pattern(text)
+        rounds = trial // len(cases)
+        planted = pat if rounds % 2 else None
+        if rounds % 4 < 2:
+            g = blow_up(rng, planted, most=pat.order() + 2)
+        else:
+            host = build(rng.randint(pat.order(), 40))
+            g = plant_and_relabel(rng, host.n, host.edges(), planted)
+        h, _ = renumbered_collapse(g, pat.order())
+        assert renumbered_collapse(h, pat.order())[0] == h
+        renumbered += h.n < g.n
+        where = f"g={list(g.edges())}, pat={text}"
+        least, verdict = least_deciding_budget(lambda b: contains(g, pat, b))
+        assert least_deciding_budget(lambda b: contains(h, pat, b)) == (least, verdict), where
+        seen.add((text, verdict))
+    assert renumbered > 150
+    assert len(seen) == 2 * len(cases)  # every pattern met both answers
+
+
 def star_forest_by_snapshots(g, degrees, spend):
-    """Reference for contains_star_forest: the same search on a match dict
-    copied for every candidate centre and a fresh set of banned leaves per
-    augmentation, calling spend() at every step the budget counts."""
+    """Reference for contains_star_forest: the same search, on the
+    renumbered collapse, with a match dict copied for every candidate
+    centre and a fresh set of banned leaves per augmentation, calling
+    spend() at every step the budget counts."""
     degrees = sorted(degrees, reverse=True)
-    g, lower = _collapse_twins(g, sum(degrees) + len(degrees))
+    g, _ = renumbered_collapse(g, sum(degrees) + len(degrees))
+    lower = lower_twins(g.rows)
     if g.n < sum(degrees) + len(degrees):
         return False
     rows = g.rows
