@@ -22,14 +22,15 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _emit_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    fields = list(rows[0].keys())
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+def _emit(rows: list[dict], out: str) -> None:
+    """Rows as one JSON line each, or as one CSV table when out is csv."""
+    if out != "csv":
+        for row in rows:
+            _emit_json(row)
+    elif rows:
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _read_graphs(args) -> list[tuple[str, Graph]]:
@@ -83,20 +84,14 @@ def cmd_construct(args) -> int:
     }
     if args.out == "csv":
         row["degrees"] = "+".join(map(str, row["degrees"]))
-        _emit_csv([row])
-    else:
-        _emit_json(row)
+    _emit([row], args.out)
     return 0
 
 
 def cmd_ep(args) -> int:
     rows = [{"g6": g6, "p": args.p, "ep": str(ep_value(g, args.p))}
             for g6, g in _read_graphs(args)]
-    if args.out == "csv":
-        _emit_csv(rows)
-    else:
-        for row in rows:
-            _emit_json(row)
+    _emit(rows, args.out)
     return 0
 
 
@@ -107,11 +102,7 @@ def cmd_free(args) -> int:
         res = patterns.is_free(g, pattern, args.budget)
         rows.append({"g6": g6, "pattern": pattern.text(),
                      "free": "unknown" if res is patterns.UNKNOWN else res})
-    if args.out == "csv":
-        _emit_csv(rows)
-    else:
-        for row in rows:
-            _emit_json(row)
+    _emit(rows, args.out)
     return 0
 
 
@@ -209,11 +200,7 @@ def cmd_oracle(args) -> int:
         rows = oracle.verify_range(pattern,
                                    _parse_range(args.n_range, "n"),
                                    _parse_range(args.p_range, "p"))
-        if args.out == "csv":
-            _emit_csv(rows)
-        else:
-            for row in rows:
-                _emit_json(row)
+        _emit(rows, args.out)
         return 0
     if args.n is None or args.p is None:
         print("error: give --n and --p (or --n-range/--p-range)", file=sys.stderr)
@@ -240,11 +227,7 @@ def cmd_verify(args) -> int:
     only = args.only.split(",") if args.only else None
     results = verify.run_suite(cfg, only)
     rows = [r.to_json() for r in results]
-    if args.out == "csv":
-        _emit_csv(rows)
-    else:
-        for row in rows:
-            _emit_json(row)
+    _emit(rows, args.out)
     return 0 if all(r.passed for r in results) else 1
 
 

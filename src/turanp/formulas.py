@@ -79,6 +79,12 @@ class UnspecifiedBase:
 _UNSPECIFIED = "threshold unspecified (holds for all sufficiently large n)"
 
 
+def _need_vertices(n: int) -> None:
+    """Reject a negative vertex count, for which no graph exists."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+
+
 # ---------------------------------------------------------------------
 # classical Turan numbers
 # ---------------------------------------------------------------------
@@ -112,6 +118,7 @@ def ex_linear_forest(n: int, lengths) -> FormulaResult:
         return ex_path(n, lengths[0])
     if all(l == 3 for l in lengths):
         raise ValueError("all components are P_3: use ex_kP3")
+    _need_vertices(n)
     k = len(lengths)
     b = sum(l // 2 for l in lengths) - 1
     c = 1 if all(l % 2 == 1 for l in lengths) else 0
@@ -137,6 +144,7 @@ def ex_kP3(n: int, k: int) -> FormulaResult:
     """ex(n, kP_3) = C(k-1,2) + (k-1)(n-k+1) + floor((n-k+1)/2)."""
     if k < 1:
         raise ValueError("need k >= 1")
+    _need_vertices(n)
     value = comb(k - 1, 2) + (k - 1) * (n - k + 1) + (n - k + 1) // 2
     if k == 1:
         return FormulaResult(value, True, "all n", "faudree-schelp-1975")
@@ -150,6 +158,7 @@ def ex_star_forest(n: int, degrees) -> FormulaResult:
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(r < 1 for r in degrees):
         raise ValueError("star degrees must all be >= 1")
+    _need_vertices(n)
     vals = []
     for i in range(1, len(degrees) + 1):
         r = degrees[i - 1]
@@ -220,6 +229,7 @@ def exp_path(n: int, ell: int, p: int) -> FormulaResult:
     e_p(H(n,ell)) for ell >= 4 and sufficiently large n."""
     if ell < 2:
         raise ValueError("need ell >= 2")
+    _need_vertices(n)
     if ell <= 3:
         if p < 1:
             raise ValueError("need p >= 1")
@@ -239,6 +249,7 @@ def exp_star(n: int, r: int, p: int) -> FormulaResult:
     """ex_p(n, S_r), exact for every n and p >= 1."""
     if r < 1 or p < 1:
         raise ValueError("need r >= 1 and p >= 1")
+    _need_vertices(n)
     if n <= r - 1:
         value = n * (n - 1) ** p
         case = "complete"
@@ -261,6 +272,7 @@ def exp_star_forest(n: int, degrees, p: int) -> FormulaResult:
         raise ValueError("need k >= 2 stars (use exp_star for one star)")
     if any(r < 1 for r in degrees) or p < 2:
         raise ValueError("need star degrees >= 1 and p >= 2")
+    _need_vertices(n)
     k = len(degrees)
     rk = degrees[-1]
     if (rk - 1) % 2 == 0 or (n - k + 1) % 2 == 0:
@@ -282,6 +294,7 @@ def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
         raise ValueError("need path orders >= 2 and p >= 2")
     if all(l == 3 for l in lengths):
         raise ValueError("all components are P_3: use exp_kP3")
+    _need_vertices(n)
     value = ep_h_linear_forest_value(n, lengths, p)
     b = sum(l // 2 for l in lengths) - 1
     return FormulaResult(value, False, _UNSPECIFIED,
@@ -311,6 +324,7 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
         raise ValueError("broom closed forms cover ell in {4,5,6,7}")
     if s < 0 or p < 2:
         raise ValueError("need s >= 0 and p >= 2")
+    _need_vertices(n)
     if ell == 4:
         if s == 0:
             return exp_path(n, 4, p)

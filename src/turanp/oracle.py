@@ -98,25 +98,25 @@ call returns False at once and no submask verdict is a rejection.
 matcher, and the classes, their labellings, their order and
 `graphs_visited` are those of the search with no pattern, with
 `pruned_heredity` and `pruned_matcher` 0.  So they depend on neither the
-pattern nor p, and `_all_classes` builds these pattern-free levels, each
-from the cached level below it, on the first query that needs them;
-`nonisomorphic_graphs` reads the same cache.  From the pattern's order pn
-on, a level depends on the pattern but on neither p nor n:
-`_pattern_level` keeps it under the pattern's edge tuple and k, built
-with the matcher from the cached level below it (level pn from the shared
-level pn - 1), with the counters of building levels 1..k.  A search copies
-level n - 1 and adds its counters; only the last level, whose bound
-depends on p, is its own.  Answers, maximizers and every counter under
-`meta` are those of a search that grows every level with the matcher,
-whatever is cached.
+pattern nor p: they are the levels of the empty pattern, kept under the
+edge tuple ().  From the pattern's order pn on, a level depends on the
+pattern but on neither p nor n, and is kept under the pattern's edge
+tuple.  `_levels(edges, k)` builds either kind on the first query that
+needs it, with the matcher of those edges (none for ()) from the cached
+level below it, which `_classes` picks: under () below pn, under the
+pattern's edges from pn on.  It keeps the counters of building levels
+1..k; `nonisomorphic_graphs` reads the () levels.  A search copies level
+n - 1 and adds its counters; only the last level, whose bound depends on
+p, is its own.  Answers, maximizers and every counter under `meta` are
+those of a search that grows every level with the matcher, whatever is
+cached.
 
-The pattern levels' cache holds the 4 * ORACLE_CAP levels used last, and
-each pattern's `AnchoredMatcher` is cached beside them; the shared levels
-have a cache of their own, which pattern levels never evict.  At
-ORACLE_CAP a level on 8 vertices is the largest a pattern keeps: the one
-of `star:7` holds 11,302 classes in 1.2 MB, and the 36 largest such
-levels of the 48 patterns `parse_pattern` can give one hold 7.7 MB
-together (CPython 3.11).
+One cache holds the 5 * ORACLE_CAP levels used last, of every key, and
+each pattern's `AnchoredMatcher` is cached beside them.  At ORACLE_CAP a
+level on 8 vertices is the largest a search keeps: the pattern-free one
+holds 12,346 classes in 1.3 MB, the one of `star:7` 11,302 in 1.2 MB,
+and the 45 largest such levels of () and of the 48 patterns
+`parse_pattern` can give one hold 9.1 MB together (CPython 3.11).
 
 Search counters under `meta`: `graphs_visited` counts the extensions
 examined (one per class and twin-ordered mask; masks skipped for their
@@ -310,38 +310,22 @@ def _level(classes: list[tuple[int, ...]], k: int,
     return level
 
 
-# levels 0 .. ORACLE_CAP - 1, the most max_ep reads
-@lru_cache(maxsize=ORACLE_CAP)
-def _all_classes(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(classes, graphs_visited): the isomorphism classes on k vertices with
-    no pattern, grown from the cached level k - 1, and the extensions
-    examined to build levels 1..k."""
+# room for the 9 pattern-free levels and 36 pattern ones: a sweep over
+# the golden table, n outermost over 13 patterns, rereads each pattern's
+# level n - 2 after 26 other levels
+@lru_cache(maxsize=5 * ORACLE_CAP)
+def _levels(edges: tuple[tuple[int, int], ...], k: int
+            ) -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
+    """(classes, visited, heredity, matcher): the isomorphism classes on k
+    vertices free of the pattern with these edges (of no pattern when
+    edges is ()), grown from the cached level k - 1, and the counters of
+    building levels 1..k."""
     if k == 0:
-        return ((),), 0
-    below, visited = _all_classes(k - 1)
+        return ((),), 0, 0, 0
+    matcher = _matcher(edges) if edges else None
     counts = _Counts()
-    level = _level(below, k, None, counts)
-    return tuple(level), visited + counts.visited
-
-
-# the levels used last: a sweep over the golden table, n outermost over
-# 13 patterns, rereads each pattern's level n - 2 after 26 other levels
-@lru_cache(maxsize=4 * ORACLE_CAP)
-def _pattern_level(edges: tuple[tuple[int, int], ...], k: int
-                   ) -> tuple[tuple[tuple[int, ...], ...], int, int, int]:
-    """(classes, visited, heredity, matcher) for k >= the pattern's order:
-    the pattern-free isomorphism classes on k vertices, grown with the
-    matcher from the cached level k - 1, and the counters of building
-    levels 1..k."""
-    matcher = _matcher(edges)
-    if k == matcher.pn:
-        below, visited = _all_classes(k - 1)
-        counts = _Counts(visited)
-    else:
-        below, *counters = _pattern_level(edges, k - 1)
-        counts = _Counts(*counters)
-    level = tuple(_level(below, k, matcher, counts))
-    return level, counts.visited, counts.heredity, counts.matcher
+    level = _level(_classes(k - 1, matcher, counts), k, matcher, counts)
+    return tuple(level), counts.visited, counts.heredity, counts.matcher
 
 
 @lru_cache(maxsize=4 * ORACLE_CAP)
@@ -352,13 +336,10 @@ def _matcher(edges: tuple[tuple[int, int], ...]) -> AnchoredMatcher:
 def _classes(k: int, matcher: AnchoredMatcher | None,
              counts: _Counts) -> list[tuple[int, ...]]:
     """One rows tuple per pattern-free isomorphism class on k vertices:
-    the shared levels up to the pattern's order - 1 and the pattern's own
-    levels from there (see the module docstring)."""
-    if matcher is None or k < matcher.pn:
-        classes, visited = _all_classes(k)
-        counts.visited += visited
-        return list(classes)
-    classes, visited, heredity, hits = _pattern_level(matcher.edges, k)
+    the pattern-free levels up to the pattern's order - 1 and the
+    pattern's own levels from there (see the module docstring)."""
+    edges = () if matcher is None or k < matcher.pn else matcher.edges
+    classes, visited, heredity, hits = _levels(edges, k)
     counts.visited += visited
     counts.heredity += heredity
     counts.matcher += hits
@@ -483,4 +464,4 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     if not 0 <= n <= ORACLE_CAP:
         raise ValueError(f"nonisomorphic_graphs handles 0 <= n <= "
                          f"{ORACLE_CAP}, got n={n}")
-    return tuple(Graph(n, rows) for rows in _all_classes(n)[0])
+    return tuple(Graph(n, rows) for rows in _levels((), n)[0])

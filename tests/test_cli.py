@@ -57,6 +57,19 @@ def test_formula_missing_param_is_usage_error(capsys):
     assert code == 2 and "--ell" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("exp_star", "--n", "-2", "--r", "2", "--p", "2"),
+    ("ex_kP3", "--n", "-1", "--k", "1"),
+    ("exp_path", "--n", "-1", "--ell", "4", "--p", "2"),
+    ("ex_star_forest", "--n", "-1", "--degrees", "2+1"),
+    ("ex_linear_forest", "--n", "-1", "--lengths", "4+2"),
+    ("exp_broom", "--n", "-1", "--ell", "5", "--s", "1", "--p", "2"),
+])
+def test_formula_negative_n_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, "formula", "--name", *argv)
+    assert code == 1 and out == "" and "need n >= 0" in err
+
+
 def test_free_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(g6_encode(h_path(20, 6)) + "\n"))
     code, out, _ = run(capsys, "free", "--pattern", "broom:6,3", "--in", "-")

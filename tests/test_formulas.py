@@ -196,6 +196,35 @@ def test_exp_turan_clique():
     assert not exp_turan_clique(9, 2, 4).in_window
 
 
+# every evaluator, with arguments it accepts for some n >= 0
+EVALUATORS = {
+    "ex_path": lambda n: ex_path(n, 3),
+    "eg_bound": lambda n: eg_bound(n, 3),
+    "ex_linear_forest": lambda n: ex_linear_forest(n, [4, 2]),
+    "ex_kP3": lambda n: ex_kP3(n, 1),
+    "ex_star_forest": lambda n: ex_star_forest(n, [2, 1]),
+    "ex_broom4": lambda n: ex_broom4(n, 1),
+    "ex_broom5_partial": lambda n: ex_broom5_partial(n, 1),
+    "exp_path": lambda n: exp_path(n, 5, 2),
+    "exp_path_short": lambda n: exp_path(n, 3, 2),
+    "exp_star": lambda n: exp_star(n, 2, 2),
+    "exp_star_forest": lambda n: exp_star_forest(n, [2, 2], 2),
+    "exp_linear_forest": lambda n: exp_linear_forest(n, [4, 2], 2),
+    "exp_kP3": lambda n: exp_kP3(n, 2, 2),
+    "exp_broom": lambda n: exp_broom(n, 5, 1, 2),
+    "exp_broom_ell4": lambda n: exp_broom(n, 4, 1, 2),
+    "exp_turan_clique": lambda n: exp_turan_clique(n, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_reject_negative_n(name):
+    # no graph has a negative number of vertices
+    for n in (-1, -2, -7):
+        with pytest.raises(ValueError, match="n >= "):
+            EVALUATORS[name](n)
+
+
 # ---------------------------------------------------------------------
 # construction consistency and the K_1+M closed form
 # ---------------------------------------------------------------------

@@ -12,13 +12,12 @@ from turanp.families import complete_graph, matching_graph, star_graph
 from turanp.formulas import ex_path, exp_path
 from turanp.graphs import Graph, canonical_code, g6_decode
 from turanp.oracle import (
-    _all_classes,
     _classes,
     _Counts,
     _extensions,
     _level,
+    _levels,
     _new_vertex_largest,
-    _pattern_level,
     _rows,
     all_graphs,
     max_ep,
@@ -125,7 +124,7 @@ def test_determinism_and_threads_accepted():
 
 def test_oracle_cap():
     assert oracle.ORACLE_CAP == 9
-    assert _all_classes.cache_parameters()["maxsize"] == oracle.ORACLE_CAP
+    assert _levels.cache_parameters()["maxsize"] == 5 * oracle.ORACLE_CAP
     rep = max_ep(9, PathPattern(2), 2)
     assert rep.max_value == 0
     for n in (1, 10):
@@ -182,16 +181,15 @@ def test_pattern_free_class_counts(spec, count):
 
 
 def clear_levels():
-    """Empty the shared pattern-free levels and the pattern levels."""
-    _all_classes.cache_clear()
-    _pattern_level.cache_clear()
+    """Empty the level cache, pattern-free and pattern levels alike."""
+    _levels.cache_clear()
 
 
 @pytest.fixture
 def cold_levels():
-    """Empty both level caches, so that a test counting canonical_code or
+    """Empty the level cache, so that a test counting canonical_code or
     matcher calls counts every level, whatever ran before it; the test may
-    call the returned function to empty them again."""
+    call the returned function to empty it again."""
     clear_levels()
     return clear_levels
 
@@ -408,7 +406,7 @@ def test_queries_leave_the_shared_levels_unchanged():
     nonisomorphic_graphs(7)
 
     def levels():
-        out = [_all_classes(k) for k in range(8)]
+        out = [_levels((), k) for k in range(8)]
         for matcher in matchers:
             for k in range(8):
                 counts = _Counts()
@@ -420,24 +418,41 @@ def test_queries_leave_the_shared_levels_unchanged():
     assert levels() == seen
 
 
-def test_pattern_levels_are_bounded(cold_levels):
-    # more pattern levels than the cache holds: the first pattern's are
-    # evicted and rebuilt the same, and the shared levels stay cached
-    bound = _pattern_level.cache_parameters()["maxsize"]
+def test_pattern_levels_are_bounded(monkeypatch, cold_levels):
+    # more levels than the cache holds: the first pattern's are evicted
+    # and rebuilt the same, and no pattern-free level is rebuilt
+    bound = _levels.cache_parameters()["maxsize"]
     nonisomorphic_graphs(7)
-    shared = _all_classes.cache_info().misses
+    free_builds = 0
+    real = oracle._level
+
+    def counted(classes, k, matcher, counts):
+        nonlocal free_builds
+        free_builds += matcher is None
+        return real(classes, k, matcher, counts)
+
+    monkeypatch.setattr(oracle, "_level", counted)
     first = parse_pattern("path:4")
     want = max_ep(8, first, 2).to_json()
     for spec in [*(f"path:{m}" for m in (2, 3, 5, 6, 7)),
                  *(f"star:{r}" for r in range(2, 7)), "stars:1,1",
                  "stars:2,1"]:
         max_ep(8, parse_pattern(spec), 2)
-        assert _pattern_level.cache_info().currsize <= bound
-    assert _pattern_level.cache_info().misses > bound
-    built = _pattern_level.cache_info().misses
+        assert _levels.cache_info().currsize <= bound
+    assert _levels.cache_info().misses > bound
+    built = _levels.cache_info().misses
     assert max_ep(8, first, 2).to_json() == want
-    assert _pattern_level.cache_info().misses > built
-    assert _all_classes.cache_info().misses == shared
+    assert _levels.cache_info().misses > built
+    assert free_builds == 0
+
+
+def test_each_level_is_cached_once(cold_levels):
+    # the levels below the pattern's order are the pattern-free ones, kept
+    # under () for every pattern; from there each pattern keeps its own
+    max_ep(6, parse_pattern("path:4"), 2)
+    assert _levels.cache_info().currsize == 6  # () 0..3, path:4 4..5
+    max_ep(6, parse_pattern("star:3"), 2)
+    assert _levels.cache_info().currsize == 8  # star:3 4..5
 
 
 def test_import_builds_no_levels():
@@ -445,12 +460,12 @@ def test_import_builds_no_levels():
     src = str(Path(oracle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import turanp\n"
-            "for cache in ('_all_classes', '_pattern_level', '_matcher'):\n"
+            "for cache in ('_levels', '_matcher'):\n"
             "    print(getattr(turanp.oracle, cache).cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "0\n0\n0\n"
+    assert proc.stdout == "0\n0\n"
 
 
 def max_ep_unbounded(n, pattern, p):

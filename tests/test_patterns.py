@@ -379,13 +379,19 @@ def test_detectors_match_generic_on_twin_rich_hosts():
         "stars:2,2,2", "stars:3,3", "stars:2,2,1",
         "path:5", "broom:4,1", "broom:5,2", "broom:6,1")]
     seen = set()
+    collapsed = 0
     for trial in range(1100):
         pat = pats[trial % len(pats)]
-        g = blow_up(rng, pat if trial % 2 else None)
+        # every other block of 11 trials draws twin classes of up to
+        # order + 1 vertices, so that the cap drops some
+        most = pat.order() + 1 if trial // len(pats) % 2 else 3
+        g = blow_up(rng, pat if trial % 2 else None, most)
+        collapsed += _collapse_twins(g, pat.order())[1] != (1 << g.n) - 1
         want = contains_forest_generic(g, pat.edge_list())
         assert contains(g, pat) == want, f"g={list(g.edges())}, pat={pat.text()}"
         seen.add((pat, want))
     assert len(seen) == 2 * len(pats)  # every pattern met both answers
+    assert collapsed >= 200  # hosts the cap shrank
 
 
 def renumbered_collapse(g, cap):
