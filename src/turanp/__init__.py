@@ -84,9 +84,7 @@ from .rewrites import PendentSite, SiteError, apply_rewrite, demo_instance, find
 from .oracle import (
     ORACLE_CAP,
     OracleReport,
-    all_graphs,
     max_ep,
-    max_ep_exhaustive,
     nonisomorphic_graphs,
     verify_range,
 )

@@ -263,8 +263,26 @@ def canonical_code(g: Graph) -> bytes:
     not the result, because a subtree is cut only when none of its leaves
     is below a code already found.  The first child searched inherits the
     node's tightness.  When its subtree is done, the best code has the
-    node's prefix, so the later siblings start tight.  Intended for the
-    oracle range; capped at CANON_CAP vertices.
+    node's prefix, so the later siblings start tight.
+
+    The first child, placing z, is also the one tested for domination.  Let
+    K be z's unplaced neighbours.  If every other vertex y of the first
+    cell is adjacent to all of K but y, only z's child is pushed, with the
+    node's tightness, because some least completion of the node places z
+    next.  In a least completion each column is the least word available
+    at that point.  Say z sits at column j > d, with y at column j - 1.
+    Then y's word was least at column j - 1, so y is in the first cell,
+    and its new bits (its adjacency to the vertices at columns d..j - 2)
+    read at most z's.  z's neighbours among those vertices are in K minus
+    y, and y is adjacent to them, so y's new bits are a superset of z's
+    and the two words are equal.  Swapping y and z keeps columns j - 1 and
+    j (the bit between them is shared), and turns the bits (x~y, x~z) of
+    every later vertex x into (x~z, x~y), which is no larger, since x~z
+    implies x~y.  Repeated swaps bring z to column d without raising the
+    code.  Only the other candidates are tested: z's twins always pass,
+    and a twin of a candidate passes exactly when the candidate does.  The
+    rule always fires when K is empty, for example on an isolated vertex.
+    Intended for the oracle range; capped at CANON_CAP vertices.
     """
     n = g.n
     if n > CANON_CAP:
@@ -301,6 +319,14 @@ def canonical_code(g: Graph) -> bytes:
                 order.append((key.bit_count(), low, row))
             order.sort(reverse=True)
             _, cand, row = order.pop()
+            # no sibling is pushed if each is adjacent to all of z's
+            # unplaced neighbours but itself (see the docstring)
+            key = row & rest
+            for _, low, other in order:
+                if key & ~low & ~other:
+                    break
+            else:
+                order = []
             for _, low, other in order:
                 stack.append((depth, cells, other, rest ^ low, True))
         else:
@@ -373,6 +399,19 @@ def graph_from_code(code: bytes) -> Graph:
     is the least graph6 string over all labellings.  Strict: the code must
     be one byte n, then the n(n-1)/2 bits packed into whole bytes with zero
     padding."""
+    n, bits = _code_bits(code)
+    return Graph(n, _triangle_rows(n, bits))
+
+
+def g6_from_code(code: bytes) -> str:
+    """``g6_encode(graph_from_code(code))``, spelled from the code's bits
+    without building the graph."""
+    return _g6_text(*_code_bits(code))
+
+
+def _code_bits(code: bytes) -> tuple[int, int]:
+    """(n, the ``_triangle_bits`` value) of a canonical code, checked as
+    ``graph_from_code`` states."""
     if not code:
         raise ValueError("empty canonical code")
     n = code[0]
@@ -385,7 +424,7 @@ def graph_from_code(code: bytes) -> Graph:
     pad = 8 * nbytes - nbits
     if bits & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in canonical code")
-    return Graph(n, _triangle_rows(n, bits >> pad))
+    return n, bits >> pad
 
 
 # ---------------------------------------------------------------------
@@ -438,14 +477,19 @@ _G6_HEADER = ">>graph6<<"
 def g6_encode(g: Graph) -> str:
     """Encode in graph6: header byte(s) for n, then the upper-triangle
     adjacency bits in column-major order packed 6 per byte, offset by 63."""
-    n = g.n
+    return _g6_text(g.n, _triangle_bits(g.rows))
+
+
+def _g6_text(n: int, bits: int) -> str:
+    """The graph6 string of the n-vertex graph whose ``_triangle_bits``
+    value is ``bits``."""
     if n <= 62:
         header = chr(63 + n)
     else:
         header = chr(126) + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     nbits = n * (n - 1) // 2
     groups = (nbits + 5) // 6
-    bits = _triangle_bits(g.rows) << (6 * groups - nbits)
+    bits <<= 6 * groups - nbits
     return header + "".join(chr(63 + (bits >> shift & 63))
                             for shift in range(6 * groups - 6, -1, -6))
 

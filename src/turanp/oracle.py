@@ -137,12 +137,11 @@ from .formulas import formula_for_pattern
 from .graphs import (
     Graph,
     canonical_code,
-    g6_encode,
-    graph_from_code,
+    g6_from_code,
     iter_bits,
     lower_twins,
 )
-from .patterns import AnchoredMatcher, ForestPattern, is_free
+from .patterns import AnchoredMatcher, ForestPattern
 
 ORACLE_CAP = 9
 
@@ -404,22 +403,11 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *,
                 if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
                     tied.append(rows)
     codes = {canonical_code(Graph._trusted(n, tuple(rows))) for rows in tied}
-    maximizers = tuple(sorted((g6_encode(graph_from_code(code)), code.hex())
+    maximizers = tuple(sorted((g6_from_code(code), code.hex())
                               for code in codes))
     return OracleReport(n, p, pattern.text(), best, maximizers,
                         len(maximizers) == 1, counts.visited, counts.heredity,
                         counts.matcher, cut)
-
-
-def max_ep_exhaustive(n: int, pattern: ForestPattern, p: int) -> int:
-    """Maximum e_p over ALL pattern-free labeled graphs, by sheer
-    enumeration (soundness reference for the isomorph-free search;
-    practical only for n <= 6)."""
-    best = -1
-    for g in all_graphs(n):
-        if is_free(g, pattern) is True:
-            best = max(best, sum(d ** p for d in g.degrees()))
-    return best
 
 
 def verify_range(pattern: ForestPattern, n_range, p_range) -> list[dict]:
@@ -449,14 +437,6 @@ def verify_range(pattern: ForestPattern, n_range, p_range) -> list[dict]:
 # ---------------------------------------------------------------------
 # small-graph enumeration helpers (test and verification support)
 # ---------------------------------------------------------------------
-
-def all_graphs(n: int):
-    """All labeled graphs on n vertices (2^C(n,2) of them)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
-                                   if mask >> k & 1])
-
 
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on n vertices: the

@@ -18,6 +18,7 @@ from turanp.graphs import (
     ep_value,
     g6_decode,
     g6_encode,
+    g6_from_code,
     graph_from_code,
     iter_bits,
     join,
@@ -352,6 +353,55 @@ def test_canonical_code_matches_reference_on_ties():
         assert canonical_code(g) == canonical_code(h), g6_encode(g)
 
 
+def threshold_graph(n: int, joins: int) -> Graph:
+    """The threshold graph grown from one vertex: vertex v >= 1 is joined
+    to every earlier vertex iff bit v - 1 of ``joins`` is set, and is
+    isolated from them otherwise."""
+    rows = [0] * n
+    for v in range(1, n):
+        if joins >> (v - 1) & 1:
+            rows[v] = (1 << v) - 1
+            for u in range(v):
+                rows[u] |= 1 << v
+    return Graph(n, tuple(rows))
+
+
+def with_leaves(g: Graph, count: int, pendant: bool, rng: random.Random) -> Graph:
+    """g plus ``count`` new vertices, each isolated or a pendant leaf on a
+    seeded vertex of g."""
+    rows = list(g.rows) + [0] * count
+    if pendant:
+        for v in range(g.n, g.n + count):
+            u = rng.randrange(g.n)
+            rows[u] |= 1 << v
+            rows[v] = 1 << u
+    return Graph(g.n + count, tuple(rows))
+
+
+def test_canonical_code_matches_reference_where_domination_fires():
+    # nested neighbourhoods, isolated vertices and pendant leaves put a
+    # dominated vertex first in the first cell below the root, where only
+    # its child is searched: every threshold graph on up to CANON_CAP
+    # vertices, and every class on up to 6 vertices grown by 1-3 isolated
+    # vertices or pendant leaves (every choice up to 5 vertices, one in
+    # turn on 6; the reference is too slow for more), each under a seeded
+    # relabelling
+    rng = random.Random(2020)
+    battery = [threshold_graph(n, joins) for n in range(1, CANON_CAP + 1)
+               for joins in range(1 << n - 1)]
+    assert len(battery) == 1023
+    classes = [g for n in range(7) for g in nonisomorphic_graphs(n)]
+    for k, g in enumerate(classes):
+        if g.n <= 5:  # every count and kind
+            battery += [with_leaves(g, count, pendant, rng)
+                        for count in (1, 2, 3) for pendant in (g.n > 0, False)]
+        else:  # one count and kind each, in turn
+            battery.append(with_leaves(g, 1 + k % 3, k % 2 == 0, rng))
+    for g in battery:
+        h = relabelled(g, rng)
+        assert canonical_code(h) == _reference_canonical_code(h), g6_encode(h)
+
+
 def test_canonical_code_leaves_no_cyclic_garbage():
     # the search holds no reference cycles, so reference counting frees
     # everything it builds and the cyclic collector finds nothing
@@ -381,6 +431,17 @@ def test_graph_from_code_round_trips():
         assert canonical_code(graph_from_code(code)) == code
 
 
+def test_g6_from_code_spells_the_code_graph():
+    # the maximizers' graph6 strings come from the code's bits, without a
+    # Graph: every class on up to 8 vertices and 500 random graphs on 9-10
+    rng = random.Random(20)
+    battery = [g for n in range(9) for g in nonisomorphic_graphs(n)]
+    battery += [random_graph(rng, 9 + k % 2, rng.random()) for k in range(500)]
+    for g in battery:
+        code = canonical_code(g)
+        assert g6_from_code(code) == g6_encode(graph_from_code(code)), code.hex()
+
+
 @pytest.mark.parametrize("code, message", [
     (b"", "empty"),
     (bytes([5]), "expected 3"),  # n = 5 has 10 bits: two bytes after n
@@ -390,8 +451,9 @@ def test_graph_from_code_round_trips():
     (bytes.fromhex("0100"), "expected 1"),
 ], ids=["empty", "short", "surplus-byte", "padding-n3", "padding-n2", "surplus-n1"])
 def test_graph_from_code_is_strict(code, message):
-    with pytest.raises(ValueError, match=message):
-        graph_from_code(code)
+    for decode in (graph_from_code, g6_from_code):
+        with pytest.raises(ValueError, match=message):
+            decode(code)
 
 
 def test_canonical_cap():

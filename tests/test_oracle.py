@@ -19,9 +19,7 @@ from turanp.oracle import (
     _levels,
     _new_vertex_largest,
     _rows,
-    all_graphs,
     max_ep,
-    max_ep_exhaustive,
     nonisomorphic_graphs,
     verify_range,
 )
@@ -81,6 +79,25 @@ def test_verify_range_p3_all_agree():
     rows = verify_range(PathPattern(3), range(2, 7), range(2, 4))
     assert all(row["agree"] for row in rows)
     assert all(row["in_window"] for row in rows)
+
+
+def all_graphs(n):
+    """All labeled graphs on n vertices (2^C(n,2) of them)."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
+                                   if mask >> k & 1])
+
+
+def max_ep_exhaustive(n, pattern, p):
+    """Maximum e_p over all pattern-free labeled graphs, by sheer
+    enumeration: the soundness reference for the isomorph-free search,
+    practical only for n <= 6."""
+    best = -1
+    for g in all_graphs(n):
+        if is_free(g, pattern) is True:
+            best = max(best, sum(d ** p for d in g.degrees()))
+    return best
 
 
 def test_edge_maximal_restriction_matches_full_search():

@@ -37,12 +37,20 @@ from turanp.patterns import (
     parse_pattern,
     pattern_order,
 )
-from turanp.oracle import all_graphs, nonisomorphic_graphs
+from turanp.oracle import nonisomorphic_graphs
 
 
 def random_graph(rng, n, prob=0.5):
     edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < prob]
     return Graph.from_edges(n, edges)
+
+
+def all_graphs(n):
+    """All labeled graphs on n vertices (2^C(n,2) of them)."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
+                                   if mask >> k & 1])
 
 
 def cycle_graph(n):
