@@ -86,7 +86,15 @@ from .oracle import (
     OracleReport,
     max_ep,
     nonisomorphic_graphs,
-    verify_range,
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # verify_range lives in verify, which nothing else in the library needs;
+    # importing it on first use keeps it out of every `import turanp`
+    if name == "verify_range":
+        from .verify import verify_range
+        return verify_range
+    raise AttributeError(f"module 'turanp' has no attribute {name!r}")

@@ -197,7 +197,7 @@ def cmd_oracle(args) -> int:
             print("error: a range query prints json or csv, not g6",
                   file=sys.stderr)
             return 2
-        rows = oracle.verify_range(pattern,
+        rows = verify.verify_range(pattern,
                                    _parse_range(args.n_range, "n"),
                                    _parse_range(args.p_range, "p"))
         _emit(rows, args.out)

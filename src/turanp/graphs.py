@@ -5,7 +5,7 @@ Conventions:
     rows[v] is set iff vw is an edge.  n <= VERTEX_CAP keeps every row a
     single machine word.
   * Graphs are immutable.  Every operation is a pure function returning a
-    new Graph, so values are safe to share across threads.
+    new Graph.
   * Degree-power sums use exact (unbounded) integer arithmetic throughout:
     closed-form evaluations at n ~ 10**6, p = 6 overflow any fixed width,
     and one numeric type everywhere avoids silent truncation.
@@ -129,12 +129,6 @@ class Graph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        rows = list(self.rows)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
         return Graph(self.n, tuple(rows))
 
     def components(self) -> list[int]:

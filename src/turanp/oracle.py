@@ -133,7 +133,6 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator
 
-from .formulas import formula_for_pattern
 from .graphs import (
     Graph,
     canonical_code,
@@ -408,30 +407,6 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *,
     return OracleReport(n, p, pattern.text(), best, maximizers,
                         len(maximizers) == 1, counts.visited, counts.heredity,
                         counts.matcher, cut)
-
-
-def verify_range(pattern: ForestPattern, n_range, p_range) -> list[dict]:
-    """Oracle truth vs. closed form over a grid: one row per (n, p) with
-    the oracle value, the formula value (None where no formula applies),
-    agreement, and the formula's window status.  Out-of-window rows may
-    legitimately disagree; the table records it without judging."""
-    rows = []
-    for n in n_range:
-        for p in p_range:
-            rep = max_ep(n, pattern, p)
-            res = formula_for_pattern(pattern, n, p)
-            row = {
-                "pattern": pattern.text(),
-                "n": n,
-                "p": p,
-                "oracle": rep.max_value,
-                "formula": None if res is None else res.value,
-                "agree": None if res is None else res.value == rep.max_value,
-                "in_window": None if res is None else res.in_window,
-                "window": None if res is None else res.window,
-            }
-            rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------

@@ -36,6 +36,12 @@ left off the path.  A twin
 swap fixes every other vertex, so it maps a broom onto a broom and the
 twin rule stays sound; the two ends of that path play different parts,
 so no orientation rule applies.
+
+The generic and anchored matchers read a pattern the same way:
+_forest_adjacency checks that the edge list is a forest and builds its
+adjacency masks, and _embedding_order orders its vertices by BFS, from
+the anchored edge or, for the generic matcher, from no seed, so each
+vertex comes after its parent, its only earlier pattern neighbour.
 """
 from __future__ import annotations
 
@@ -303,12 +309,11 @@ def contains_linear_forest(g: Graph, lengths, budget: int | None = None):
             return True
         if (i, avail) in failed:
             return False
-        tried = set()
-        # one orientation per path: its end above its start
+        # one orientation per path: its end above its start; a second path
+        # on a vertex set already tried is answered by the failed memo
         for mask, start, end in _paths(rows, lower, lengths[i], avail, bud):
-            if end < start or mask in tried:
+            if end < start:
                 continue
-            tried.add(mask)
             if place(i + 1, avail & ~mask):
                 return True
         failed.add((i, avail))
@@ -435,65 +440,59 @@ def contains_broom(g: Graph, ell: int, s: int, budget: int | None = None):
         return UNKNOWN
 
 
-def pattern_order(edges: list[tuple[int, int]]) -> int:
-    return max((max(u, v) for u, v in edges), default=-1) + 1
-
-
-def _check_forest(edges: list[tuple[int, int]]) -> None:
-    pn = pattern_order(edges)
-    parent = list(range(pn))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    seen = set()
+def _forest_adjacency(edges: list[tuple[int, int]]) -> list[int]:
+    """padj[v]: the mask of pattern vertex v's neighbours, for every v up
+    to the largest endpoint, so len(padj) is the pattern order.  Each edge
+    is checked in order, for a loop, then a repeat, then a cycle, and the
+    first failure raises ValueError."""
+    padj: list[int] = []
+    comp: list[int] = []   # comp[v]: the vertex mask of v's component so far
     for u, v in edges:
         if u == v:
             raise ValueError("pattern has a loop")
-        if (min(u, v), max(u, v)) in seen:
+        for w in range(len(padj), max(u, v) + 1):
+            padj.append(0)
+            comp.append(1 << w)
+        if padj[u] >> v & 1:
             raise ValueError("pattern has a repeated edge")
-        seen.add((min(u, v), max(u, v)))
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if comp[u] >> v & 1:
             raise ValueError("pattern is not a forest (cycle found)")
-        parent[ru] = rv
+        padj[u] |= 1 << v
+        padj[v] |= 1 << u
+        joined = comp[u] | comp[v]
+        for w in iter_bits(joined):
+            comp[w] = joined
+    return padj
 
 
-def _embedding_order(pn: int, padj: list[int]) -> list[tuple[int, int]]:
-    """Pattern vertices ordered so each attaches to an earlier one where
-    possible: (vertex, parent) pairs, parent -1 for component roots.
-    Components in decreasing size, BFS inside each."""
-    comps: list[list[int]] = []
-    left = set(range(pn))
-    while left:
-        root = max(left, key=lambda v: padj[v].bit_count())
-        comp = [root]
-        seen = {root}
-        q = [root]
-        while q:
-            u = q.pop(0)
-            for w in iter_bits(padj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    q.append(w)
-        comps.append(comp)
-        left -= seen
-    comps.sort(key=len, reverse=True)
-    order: list[tuple[int, int]] = []
-    for comp in comps:
-        placed = set()
-        for v in comp:
-            par = -1
-            for w in iter_bits(padj[v]):
-                if w in placed:
-                    par = w
-                    break
-            order.append((v, par))
-            placed.add(v)
+def _embedding_order(padj: list[int], seeds: tuple[int, ...] = ()) -> list[tuple[int, int]]:
+    """Pattern vertices other than the seeds as (vertex, parent) pairs,
+    each after its parent: a BFS from the seeds, then every other
+    component, largest first (ties: higher top degree, then lower root),
+    as a BFS from its lowest-numbered vertex of highest degree, which has
+    parent -1.  In a forest a vertex's parent is then its only pattern
+    neighbour placed before it."""
+    placed = 0
+
+    def bfs(frontier: list[int]) -> list[tuple[int, int]]:
+        nonlocal placed
+        for v in frontier:
+            placed |= 1 << v
+        grown = []
+        for u in frontier:   # the loop also visits the vertices appended
+            for w in iter_bits(padj[u] & ~placed):
+                placed |= 1 << w
+                grown.append((w, u))
+                frontier.append(w)
+        return grown
+
+    order = bfs(list(seeds))
+    comps = []
+    while left := ((1 << len(padj)) - 1) & ~placed:
+        root = max(iter_bits(left), key=lambda v: padj[v].bit_count())
+        comps.append([(root, -1)] + bfs([root]))
+    for comp in sorted(comps, key=len, reverse=True):
+        order += comp
     return order
 
 
@@ -501,21 +500,18 @@ def contains_forest_generic(g: Graph, edges, budget: int | None = None):
     """Exact containment of an arbitrary forest given as an edge list, by
     vertex-map backtracking with degree-compatibility pruning.  This is
     the cross-check oracle for the specialised detectors, so it performs
-    no host preprocessing."""
-    edges = [tuple(e) for e in edges]
-    _check_forest(edges)
+    no host preprocessing.  Pattern vertices are placed in
+    _embedding_order, each among the host neighbours of its parent's
+    image."""
+    padj = _forest_adjacency(edges)
     bud = _Budget(budget)
-    pn = pattern_order(edges)
+    pn = len(padj)
     if pn == 0:
         return True
     if pn > g.n:
         return False
-    padj = [0] * pn
-    for u, v in edges:
-        padj[u] |= 1 << v
-        padj[v] |= 1 << u
     pdeg = [m.bit_count() for m in padj]
-    order = _embedding_order(pn, padj)
+    order = _embedding_order(padj)
     rows = g.rows
     hdeg = [row.bit_count() for row in rows]
     image = [-1] * pn
@@ -581,9 +577,10 @@ def contains(g: Graph, pattern: ForestPattern, budget: int | None = None):
 
 class AnchoredMatcher:
     """Decides whether a host graph contains the pattern using one given
-    host edge.  Pattern-side orders are precomputed once per pattern; the
-    host is supplied as raw bitmask rows so callers can probe candidate
-    edges without building Graph values.
+    host edge.  Pattern-side orders are precomputed once per pattern, by
+    the generic matcher's _embedding_order seeded with the anchored edge;
+    the host is supplied as raw bitmask rows so callers can probe
+    candidate edges without building Graph values.
 
     A copy through host edge ab maps some directed pattern edge (u, v) to
     (a, b).  Composing with an automorphism of the pattern moves (u, v)
@@ -597,28 +594,22 @@ class AnchoredMatcher:
     `stars:3,3,3` has 18 directed edges in 2 orbits, `path:6` 10 in 5."""
 
     def __init__(self, edges: list[tuple[int, int]]):
-        edges = [tuple(e) for e in edges]
-        _check_forest(edges)
-        self.edges = tuple(edges)
-        self.pn = pattern_order(edges)
-        padj = [0] * self.pn
-        for u, v in edges:
-            padj[u] |= 1 << v
-            padj[v] |= 1 << u
-        self.padj = padj
+        self.edges = tuple(tuple(e) for e in edges)
+        self.padj = padj = _forest_adjacency(self.edges)
+        self.pn = len(padj)
         self.pdeg = [m.bit_count() for m in padj]
         # per orbit of directed pattern edges: its first edge and the
         # embedding order of the remaining vertices, seeded with the two
         # anchored endpoints, as (vertex, parent, pattern degree)
         self.plans: list[tuple[int, int, list[tuple[int, int, int]]]] = []
         seen: set[tuple[str, str]] = set()
-        for u, v in edges:
+        for u, v in self.edges:
             for pu, pv in ((u, v), (v, u)):
                 key = (self._rooted_code(pu, pv), self._rooted_code(pv, pu))
                 if key not in seen:
                     seen.add(key)
                     order = [(w, par, self.pdeg[w])
-                             for w, par in self._plan(pu, pv)]
+                             for w, par in _embedding_order(padj, (pu, pv))]
                     self.plans.append((pu, pv, order))
 
     def _rooted_code(self, root: int, away: int) -> str:
@@ -628,23 +619,6 @@ class AnchoredMatcher:
         return "(" + "".join(sorted(self._rooted_code(w, root)
                                     for w in iter_bits(self.padj[root])
                                     if w != away)) + ")"
-
-    def _plan(self, pu: int, pv: int) -> list[tuple[int, int]]:
-        placed = {pu, pv}
-        order: list[tuple[int, int]] = []
-        frontier = [pu, pv]
-        while frontier:
-            u = frontier.pop(0)
-            for w in iter_bits(self.padj[u]):
-                if w not in placed:
-                    placed.add(w)
-                    order.append((w, u))
-                    frontier.append(w)
-        rest = [v for v in range(self.pn) if v not in placed]
-        if rest:
-            sub = _embedding_order(self.pn, [self.padj[v] if v in rest else 0 for v in range(self.pn)])
-            order += [(v, p) for v, p in sub if v in rest]
-        return order
 
     def contains_through(self, n: int, rows: list[int], a: int, b: int,
                          need: int = 1) -> bool:

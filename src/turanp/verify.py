@@ -1,7 +1,10 @@
 """Runnable verification suites: construction/formula identities, freeness
 certification, oracle agreement, lemma grids, rewrite properties, and the
-e_4 counterexample.  The CLI `verify` subcommand drives these; the pytest
-acceptance suite runs the same checks at full grid sizes.
+e_4 counterexample, plus verify_range, the oracle-against-closed-form
+grid behind `oracle --n-range`.  The oracle itself never imports the
+closed forms, so it stays an independent check on them.  The CLI
+`verify` subcommand drives the suites; the pytest acceptance suite runs
+the same checks at full grid sizes.
 """
 from __future__ import annotations
 
@@ -297,6 +300,30 @@ def check_oracle(cfg: dict) -> CheckResult:
         if rep.edges != want:
             bad.append(f"2P_2 n={n}: {rep.edges} edges (want {want})")
     return _result("oracle", ran, bad, "disagreements")
+
+
+def verify_range(pattern: patterns.ForestPattern, n_range, p_range) -> list[dict]:
+    """Oracle truth vs. closed form over a grid: one row per (n, p) with
+    the oracle value, the formula value (None where no formula applies),
+    agreement, and the formula's window status.  Out-of-window rows may
+    legitimately disagree; the table records it without judging."""
+    rows = []
+    for n in n_range:
+        for p in p_range:
+            rep = oracle.max_ep(n, pattern, p)
+            res = formulas.formula_for_pattern(pattern, n, p)
+            row = {
+                "pattern": pattern.text(),
+                "n": n,
+                "p": p,
+                "oracle": rep.max_value,
+                "formula": None if res is None else res.value,
+                "agree": None if res is None else res.value == rep.max_value,
+                "in_window": None if res is None else res.in_window,
+                "window": None if res is None else res.window,
+            }
+            rows.append(row)
+    return rows
 
 
 def check_lemmas(cfg: dict) -> CheckResult:

@@ -19,6 +19,8 @@ from turanp.graphs import (
     g6_encode,
 )
 
+from helpers import all_graphs
+
 BIG_N = [200, 500]
 P_POWER = range(2, 7)   # theorem range for the degree-power results
 P_ALL = range(1, 7)
@@ -467,14 +469,6 @@ def test_criterion_7a_handshake_and_monotonicity():
                 bad.append(f"dominance monotonicity {a} {b} p={p}")
     report(7, "criterion 7a: handshake, edge monotonicity, dominance "
               "monotonicity", bad)
-
-
-def all_graphs(n):
-    """All labeled graphs on n vertices (2^C(n,2) of them)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
-                                   if mask >> k & 1])
 
 
 BATTERY = [

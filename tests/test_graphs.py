@@ -40,6 +40,8 @@ from turanp.families import (
 )
 from turanp.oracle import nonisomorphic_graphs
 
+from helpers import partitions
+
 
 @st.composite
 def graphs(draw, min_n=0, max_n=8):
@@ -295,16 +297,6 @@ def complement(g: Graph) -> Graph:
 def relabelled(g: Graph, rng: random.Random) -> Graph:
     perm = rng.sample(range(g.n), g.n)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def partitions(n: int, largest: int | None = None):
-    """The partitions of n into parts of at most ``largest``, parts descending."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for tail in partitions(n - part, part):
-            yield (part,) + tail
 
 
 def union_of_cliques(parts) -> Graph:

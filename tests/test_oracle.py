@@ -21,7 +21,6 @@ from turanp.oracle import (
     _rows,
     max_ep,
     nonisomorphic_graphs,
-    verify_range,
 )
 from turanp.patterns import (
     AnchoredMatcher,
@@ -33,6 +32,9 @@ from turanp.patterns import (
     is_free,
     parse_pattern,
 )
+from turanp.verify import verify_range
+
+from helpers import all_graphs
 
 
 def maximizer_codes(report):
@@ -79,14 +81,6 @@ def test_verify_range_p3_all_agree():
     rows = verify_range(PathPattern(3), range(2, 7), range(2, 4))
     assert all(row["agree"] for row in rows)
     assert all(row["in_window"] for row in rows)
-
-
-def all_graphs(n):
-    """All labeled graphs on n vertices (2^C(n,2) of them)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
-                                   if mask >> k & 1])
 
 
 def max_ep_exhaustive(n, pattern, p):
@@ -483,6 +477,22 @@ def test_import_builds_no_levels():
                           text=True, timeout=120, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.stdout == "0\n0\n"
+
+
+def test_verify_range_export_loads_verify_on_first_use():
+    # `import turanp` does not load the verify suites; reading
+    # turanp.verify_range does
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, turanp\n"
+            "print('turanp.verify' in sys.modules)\n"
+            "from turanp import verify_range\n"
+            "from turanp import verify\n"
+            "print(verify_range is verify.verify_range)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == "False\nTrue\n"
 
 
 def max_ep_unbounded(n, pattern, p):

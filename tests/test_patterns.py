@@ -27,6 +27,7 @@ from turanp.patterns import (
     StarForestPattern,
     StarPattern,
     _collapse_twins,
+    _embedding_order,
     contains,
     contains_broom,
     contains_forest_generic,
@@ -35,9 +36,10 @@ from turanp.patterns import (
     contains_star_forest,
     is_free,
     parse_pattern,
-    pattern_order,
 )
 from turanp.oracle import nonisomorphic_graphs
+
+from helpers import all_graphs, partitions
 
 
 def random_graph(rng, n, prob=0.5):
@@ -45,12 +47,11 @@ def random_graph(rng, n, prob=0.5):
     return Graph.from_edges(n, edges)
 
 
-def all_graphs(n):
-    """All labeled graphs on n vertices (2^C(n,2) of them)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs))
-                                   if mask >> k & 1])
+def without_edge(g, u, v):
+    rows = list(g.rows)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return Graph(g.n, tuple(rows))
 
 
 def cycle_graph(n):
@@ -254,7 +255,7 @@ def test_anchored_matcher_agrees_with_generic():
         if not edges:
             continue
         a, b = edges[rng.randrange(len(edges))]
-        removed = g.without_edge(a, b)
+        removed = without_edge(g, a, b)
         for pat in pats:
             matcher = AnchoredMatcher(pat.edge_list())
             through = matcher.contains_through(n, list(g.rows), a, b)
@@ -337,11 +338,105 @@ def test_anchored_matcher_keeps_one_plan_per_edge_orbit():
     # index orders
     cases.append([(2, 1), (2, 5), (2, 3), (3, 4), (4, 0)])
     for edges in cases:
-        orbit = _edge_orbits(edges, pattern_order(edges))
-        plans = AnchoredMatcher(edges).plans
+        matcher = AnchoredMatcher(edges)
+        orbit = _edge_orbits(edges, matcher.pn)
+        plans = matcher.plans
         assert len(plans) == len(set(orbit.values())), edges
         assert {orbit[pu, pv] for pu, pv, _ in plans} == set(orbit.values()), edges
     assert len(AnchoredMatcher(parse_pattern("stars:3,3,3").edge_list()).plans) == 2
+
+
+# ---------------------------------------------------------------------
+# pattern preparation shared by the generic and anchored matchers
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2)], "pattern has a loop"),
+    ([(0, 1), (1, 0)], "pattern has a repeated edge"),
+    ([(0, 1), (1, 2), (2, 0)], r"pattern is not a forest \(cycle found\)"),
+    # the first bad edge decides
+    ([(0, 1), (1, 0), (2, 2)], "pattern has a repeated edge"),
+    ([(0, 1), (1, 2), (2, 0), (0, 1), (3, 3)],
+     r"pattern is not a forest \(cycle found\)"),
+])
+def test_both_matchers_reject_a_non_forest(edges, message):
+    with pytest.raises(ValueError, match=message):
+        contains_forest_generic(complete_graph(5), edges)
+    with pytest.raises(ValueError, match=message):
+        AnchoredMatcher(edges)
+
+
+def test_isolated_pattern_vertex_needs_a_host_vertex():
+    # vertex 1 of the pattern has no edge, but a copy still needs it
+    edges = [(0, 2)]
+    assert contains_forest_generic(Graph.from_edges(2, [(0, 1)]), edges) is False
+    assert contains_forest_generic(Graph.from_edges(3, [(0, 1)]), edges) is True
+    matcher = AnchoredMatcher(edges)
+    assert matcher.pn == 3
+    assert not matcher.contains_through(2, [0b10, 0b01], 0, 1)
+    assert matcher.contains_through(3, [0b10, 0b01, 0], 0, 1)
+
+
+def pattern_texts(max_order):
+    """Every parse_pattern text of order 2..max_order, one per pattern."""
+    texts = []
+    for order in range(2, max_order + 1):
+        split = [p for p in partitions(order) if len(p) > 1 and min(p) >= 2]
+        texts += [f"path:{order}", f"star:{order - 1}"]
+        texts += ["linear:" + ",".join(map(str, p)) for p in split]
+        texts += ["stars:" + ",".join(str(x - 1) for x in p) for p in split]
+        texts += [f"broom:{ell},{order - ell}" for ell in range(4, order + 1)]
+    return texts
+
+
+def random_forest(rng):
+    """A random forest: each of up to 12 vertices joins an earlier one
+    with probability 0.8, up to 3 more stay isolated, and the whole is
+    relabelled, its edges shuffled and randomly oriented."""
+    k = rng.randint(2, 12)
+    pn = k + rng.randint(0, 3)
+    perm = rng.sample(range(pn), pn)
+    edges = [(perm[rng.randrange(v)], perm[v]) for v in range(1, k)
+             if rng.random() < 0.8]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def _assert_parent_first(padj, seeds, order):
+    placed = 0
+    for v in seeds:
+        placed |= 1 << v
+    for v, par in order:
+        assert not placed >> v & 1, (v, order)
+        earlier = padj[v] & placed
+        if par < 0:
+            assert earlier == 0, (v, order)
+        else:
+            assert earlier == 1 << par, (v, par, order)
+        placed |= 1 << v
+    assert placed == (1 << len(padj)) - 1, order
+
+
+def test_every_vertex_is_placed_once_after_its_only_earlier_neighbour():
+    # contains_through draws a vertex's candidates from its parent's image
+    # alone, so it is exact only if no other pattern neighbour comes first
+    rng = random.Random(53)
+    cases = [parse_pattern(t).edge_list() for t in pattern_texts(10)]
+    forests = []
+    while len(forests) < 2000:
+        if edges := random_forest(rng):
+            forests.append(edges)
+    for edges in cases + forests:
+        matcher = AnchoredMatcher(edges)
+        padj = matcher.padj
+        assert len(padj) == matcher.pn
+        _assert_parent_first(padj, (), _embedding_order(padj))
+        for pu, pv, order in matcher.plans:
+            assert padj[pu] >> pv & 1
+            assert all(d == matcher.pdeg[w] for w, _, d in order)
+            _assert_parent_first(padj, (pu, pv),
+                                 [(w, par) for w, par, _ in order])
 
 
 # ---------------------------------------------------------------------
