@@ -502,7 +502,8 @@ def contains_forest_generic(g: Graph, edges, budget: int | None = None):
     the cross-check oracle for the specialised detectors, so it performs
     no host preprocessing.  Pattern vertices are placed in
     _embedding_order, each among the host neighbours of its parent's
-    image."""
+    image; the parent is its only pattern neighbour placed before it, so
+    no other adjacency needs checking."""
     padj = _forest_adjacency(edges)
     bud = _Budget(budget)
     pn = len(padj)
@@ -525,18 +526,9 @@ def contains_forest_generic(g: Graph, edges, budget: int | None = None):
         for hv in iter_bits(cands):
             if hdeg[hv] < pdeg[pv]:
                 continue
-            # all previously mapped pattern neighbours must be adjacent
-            ok = True
-            for q in iter_bits(padj[pv]):
-                if image[q] >= 0 and not rows[hv] >> image[q] & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
             image[pv] = hv
             if bt(i + 1, used | 1 << hv):
                 return True
-            image[pv] = -1
         return False
 
     try:

@@ -560,3 +560,48 @@ def test_criterion_7d_oracle_determinism():
         bad.append("rerun differs")
     report(7, "criterion 7d: oracle equals the frozen golden table on the 7b "
               "battery (n <= 9, p <= 3) and reruns identically", bad)
+
+
+def test_criterion_7e_golden_table_obeys_laws():
+    """Laws any correct ex_p obeys, checked on the golden table that
+    criterion 7d pins the oracle to: monotone in the pattern
+    (ex_p(n, F') <= ex_p(n, F) when F' is a subgraph of F, found by
+    contains_forest_generic on F's own graph), superadditive for connected
+    F (ex_p(m) + ex_p(n - m) <= ex_p(n), since a disjoint union of F-free
+    graphs is F-free; one comparison per split m <= n - m) and monotone
+    in n.  A matcher fault that froze into the table breaks one of them."""
+    ex = {}
+    for key, entry in json.loads(GOLDEN_ORACLE.read_text())["entries"].items():
+        text, n, p = key.split("|")
+        ex[text, int(n.removeprefix("n=")), int(p.removeprefix("p="))] = entry["max_value"]
+    pats = {text: patterns.parse_pattern(text) for text, _, _ in ex}
+    hosts = {text: Graph.from_edges(pat.order(), pat.edge_list())
+             for text, pat in pats.items()}
+    bad = []
+    counts = {"pattern": 0, "superadditive": 0, "n": 0}
+    subpatterns = {big: [small for small in pats if small != big and
+                         patterns.contains_forest_generic(hosts[big], pats[small].edge_list())]
+                   for big in pats}
+    for (text, n, p), value in ex.items():
+        for small in subpatterns[text]:
+            counts["pattern"] += 1
+            if ex[small, n, p] > value:
+                bad.append(f"{small} in {text}, n={n}, p={p}: "
+                           f"{ex[small, n, p]} > {value}")
+        if hosts[text].is_connected():
+            for m in range(2, n // 2 + 1):
+                if (text, n - m, p) in ex:
+                    counts["superadditive"] += 1
+                    if ex[text, m, p] + ex[text, n - m, p] > value:
+                        bad.append(f"{text}, p={p}: ex({m}) + ex({n - m}) > ex({n})")
+        if (text, n - 1, p) in ex:
+            counts["n"] += 1
+            if ex[text, n - 1, p] > value:
+                bad.append(f"{text}, p={p}: ex({n - 1}) > ex({n})")
+    if not all(counts.values()):
+        bad.append(f"a law made no comparison: {counts}")
+    report(7, f"criterion 7e: the golden table is monotone in the pattern "
+              f"({counts['pattern']} comparisons over "
+              f"{sum(map(len, subpatterns.values()))} pattern "
+              f"pairs), superadditive for connected patterns "
+              f"({counts['superadditive']}) and monotone in n ({counts['n']})", bad)

@@ -72,6 +72,78 @@ def test_validation_rejects_bad_rows():
         Graph.empty(65)
 
 
+def _reference_row_check(n, rows):
+    """Graph's row check written one bit at a time, the reference for
+    the whole-matrix tests in ``Graph.__post_init__``."""
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {v} has bits beyond vertex range")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+    for v in range(n):
+        for w in iter_bits(rows[v]):
+            if not rows[w] >> v & 1:
+                raise ValueError(f"asymmetric adjacency at ({v}, {w})")
+
+
+def _check_outcome(check, n, rows):
+    try:
+        check(n, rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _every_small_matrix():
+    """Every 0/1 matrix with n <= 4, diagonal included."""
+    for n in range(5):
+        for bits in range(1 << n * n):
+            yield n, tuple(bits >> v * n & (1 << n) - 1 for v in range(n))
+
+
+def _random_matrices(count=20_000, seed=22):
+    """Symmetric matrices with n <= 64 at densities 1/4, 1/2 and 3/4; every
+    second one has one off-diagonal bit flipped, and some get a loop or a
+    bit beyond n."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 64)
+        rows = [0] * n
+        for u in range(n):
+            upper = rng.getrandbits(n)
+            upper = (upper & rng.getrandbits(n), upper,
+                     upper | rng.getrandbits(n))[k % 3] >> u + 1 << u + 1
+            rows[u] |= upper
+            for w in iter_bits(upper):
+                rows[w] |= 1 << u
+        if k % 2 and n > 1:
+            u, w = rng.sample(range(n), 2)
+            rows[u] ^= 1 << w
+        if k % 10 == 1:
+            rows[rng.randrange(n)] |= 1 << rng.randrange(n)
+        if k % 10 == 3:
+            rows[rng.randrange(n)] |= 1 << rng.randrange(n, 70)
+        yield n, tuple(rows)
+
+
+def test_validation_matches_bitwise_reference():
+    """Graph accepts exactly what the bit-by-bit check accepts, and
+    rejects the rest with the same exception and message."""
+    accepted = rejected = 0
+    for n, rows in itertools.chain(_every_small_matrix(), _random_matrices()):
+        want = _check_outcome(_reference_row_check, n, rows)
+        assert _check_outcome(Graph, n, rows) == want, (n, rows)
+        accepted += want is None
+        rejected += want is not None
+    assert accepted > 10_000 and rejected > 10_000
+    # negative rows (one whose low bits are clear), rows that are not
+    # ints, and a row beyond 64 bits
+    for rows in ((-1, 0), (0, -1 << 100), (0.5, 0), ("a", 0), (0b10, 0b01, 1 << 64)):
+        n = len(rows)
+        assert _check_outcome(Graph, n, rows) == _check_outcome(_reference_row_check, n, rows)
+
+
 def test_iter_bits():
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert list(iter_bits(0)) == []
