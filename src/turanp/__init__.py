@@ -90,11 +90,3 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    # verify_range lives in verify, which nothing else in the library needs;
-    # importing it on first use keeps it out of every `import turanp`
-    if name == "verify_range":
-        from .verify import verify_range
-        return verify_range
-    raise AttributeError(f"module 'turanp' has no attribute {name!r}")

@@ -220,8 +220,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = verify.parse_config(fh.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise verify.ConfigError(f"cannot read config {args.config!r}: "
+                                     f"{exc.strerror}") from exc
+        cfg = verify.parse_config(text)
     else:
         cfg = dict(verify.DEFAULT_CONFIG)
     only = args.only.split(",") if args.only else None

@@ -241,6 +241,8 @@ def parse_family(text: str) -> FamilySpec:
             key = key.strip()
             if not eq or key not in wanted:
                 raise ValueError(f"family {tag!r}: bad parameter {item!r}")
+            if key in params:
+                raise ValueError(f"family {tag!r}: repeated parameter {key!r}")
             try:
                 if key == "lengths":
                     params[key] = [int(x) for x in val.split("+")]

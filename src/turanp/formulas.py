@@ -4,7 +4,9 @@ Every evaluator returns a FormulaResult carrying the exact value, the
 validity window of the underlying theorem, and whether the requested n
 meets it.  Out-of-window inputs still get the formula value (flagged
 in_window=False) so the oracle can compare brute-force truth against
-formula extrapolations below threshold.  When a theorem's threshold is
+formula extrapolations below threshold.  Below the order of the
+construction a value evaluates, no graph has the value: the evaluator
+raises BelowDomain, with the bound the construction's builder enforces.  When a theorem's threshold is
 only "n sufficiently large" with no explicit constant, in_window is
 False for every n and the window text says so; we never invent one.
 
@@ -79,10 +81,18 @@ class UnspecifiedBase:
 _UNSPECIFIED = "threshold unspecified (holds for all sufficiently large n)"
 
 
-def _need_vertices(n: int) -> None:
-    """Reject a negative vertex count, for which no graph exists."""
+class BelowDomain(ValueError):
+    """n is below the domain of a closed form: the order of the graph whose
+    value it gives, or the range of the result it states."""
+
+
+def _need_vertices(n: int, order: int = 0, host: str = "") -> None:
+    """Reject a negative vertex count, for which no graph exists, and an n
+    below the order of the host graph whose value is asked for."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
+    if n < order:
+        raise BelowDomain(f"{host} needs n >= {order}, got n={n}")
 
 
 # ---------------------------------------------------------------------
@@ -118,7 +128,7 @@ def ex_linear_forest(n: int, lengths) -> FormulaResult:
         return ex_path(n, lengths[0])
     if all(l == 3 for l in lengths):
         raise ValueError("all components are P_3: use ex_kP3")
-    _need_vertices(n)
+    _need_vertices(n, sum(lengths), "H(n,F)")
     k = len(lengths)
     b = sum(l // 2 for l in lengths) - 1
     c = 1 if all(l % 2 == 1 for l in lengths) else 0
@@ -144,7 +154,7 @@ def ex_kP3(n: int, k: int) -> FormulaResult:
     """ex(n, kP_3) = C(k-1,2) + (k-1)(n-k+1) + floor((n-k+1)/2)."""
     if k < 1:
         raise ValueError("need k >= 1")
-    _need_vertices(n)
+    _need_vertices(n, k, "K_{k-1}+M_{n-k+1}")
     value = comb(k - 1, 2) + (k - 1) * (n - k + 1) + (n - k + 1) // 2
     if k == 1:
         return FormulaResult(value, True, "all n", "faudree-schelp-1975")
@@ -158,7 +168,8 @@ def ex_star_forest(n: int, degrees) -> FormulaResult:
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(r < 1 for r in degrees):
         raise ValueError("star degrees must all be >= 1")
-    _need_vertices(n)
+    # G(n,i,r_i) needs n-i+1 > r_i-1
+    _need_vertices(n, max(i + r for i, r in enumerate(degrees)), "G(n,i,r_i)")
     vals = []
     for i in range(1, len(degrees) + 1):
         r = degrees[i - 1]
@@ -175,7 +186,7 @@ def ex_broom4(n: int, s: int) -> FormulaResult:
     if s < 1:
         raise ValueError("need s >= 1 (B_{4,0} is P_4: use ex_path)")
     if n < s + 4:
-        raise ValueError(f"need n >= s+4 = {s + 4}")
+        raise BelowDomain(f"need n >= s+4 = {s + 4}")
     a, b = divmod(n, s + 3)
     if s >= 3 and 2 <= b <= s:
         value = (a - 1) * comb(s + 3, 2) + (s + 1) * (s + 3 + b) // 2
@@ -194,7 +205,7 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
     if s < 1:
         raise ValueError("need s >= 1 (B_{5,0} is P_5: use ex_path)")
     if n < s + 5:
-        raise ValueError(f"need n >= s+5 = {s + 5}")
+        raise BelowDomain(f"need n >= s+5 = {s + 5}")
     a, b = divmod(n, s + 4)
     window = f"n >= s+5 = {s + 5}"
     if 1 <= b <= s:
@@ -211,6 +222,7 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
 
 def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
     """e_p(H(n,F)) straight from the degree multiset of H(n,F)."""
+    _need_vertices(n, sum(lengths), "H(n,F)")
     b = sum(l // 2 for l in lengths) - 1
     if all(l % 2 == 1 for l in lengths):
         return b * (n - 1) ** p + (n - b - 2) * b ** p + 2 * (b + 1) ** p
@@ -219,6 +231,7 @@ def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
 
 def ep_k_join_matching_value(n: int, k: int, p: int) -> int:
     """e_p(K_{k-1} + M_{n-k+1}) from its degree multiset."""
+    _need_vertices(n, k, "K_{k-1}+M_{n-k+1}")
     m = n - k + 1
     return ((k - 1) * (n - 1) ** p + 2 * (m // 2) * k ** p
             + (m % 2) * (k - 1) ** p)
@@ -272,9 +285,9 @@ def exp_star_forest(n: int, degrees, p: int) -> FormulaResult:
         raise ValueError("need k >= 2 stars (use exp_star for one star)")
     if any(r < 1 for r in degrees) or p < 2:
         raise ValueError("need star degrees >= 1 and p >= 2")
-    _need_vertices(n)
     k = len(degrees)
     rk = degrees[-1]
+    _need_vertices(n, k + rk - 1, "G(n,k,r_k)")
     if (rk - 1) % 2 == 0 or (n - k + 1) % 2 == 0:
         value = (k - 1) * (n - 1) ** p + (n - k + 1) * (rk + k - 2) ** p
     else:
@@ -294,7 +307,6 @@ def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
         raise ValueError("need path orders >= 2 and p >= 2")
     if all(l == 3 for l in lengths):
         raise ValueError("all components are P_3: use exp_kP3")
-    _need_vertices(n)
     value = ep_h_linear_forest_value(n, lengths, p)
     b = sum(l // 2 for l in lengths) - 1
     return FormulaResult(value, False, _UNSPECIFIED,
@@ -305,8 +317,6 @@ def exp_kP3(n: int, k: int, p: int) -> FormulaResult:
     """ex_p(n, kP_3) = e_p(K_{k-1} + M_{n-k+1}) for sufficiently large n."""
     if k < 2 or p < 2:
         raise ValueError("need k >= 2 and p >= 2 (use exp_path for P_3)")
-    if n < k:
-        raise ValueError("need n >= k")
     value = ep_k_join_matching_value(n, k, p)
     return FormulaResult(value, False, _UNSPECIFIED, "kp3-degree-power-corollary")
 
@@ -328,6 +338,7 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
     if ell == 4:
         if s == 0:
             return exp_path(n, 4, p)
+        _need_vertices(n, 1, "S_{n-1}")
         value = (n - 1) ** p + (n - 1)
         return FormulaResult(value, n > 2 * (s + 4), f"n > 2(s+4) = {2 * (s + 4)}",
                              "caro-yuster-2000")
@@ -422,9 +433,15 @@ def _double(res: FormulaResult) -> FormulaResult:
 def formula_for_pattern(pattern: ForestPattern, n: int, p: int) -> FormulaResult | None:
     """Best matching closed form for max e_p over pattern-free graphs on n
     vertices (p = 1 routes to twice the classical Turan number).  Returns
-    None where no closed form applies, including n below the range of the
-    B_{4,s}, B_{5,s} (n >= ell+s) and kP_3 (n >= k) results; a ValueError
-    from an evaluator is a bug, not "no formula"."""
+    None where no closed form applies or n is below the evaluator's domain
+    (BelowDomain); any other ValueError from an evaluator is a bug."""
+    try:
+        return _formula(pattern, n, p)
+    except BelowDomain:
+        return None
+
+
+def _formula(pattern: ForestPattern, n: int, p: int) -> FormulaResult | None:
     if isinstance(pattern, PathPattern):
         if p == 1 and pattern.ell >= 4:
             return _double(ex_path(n, pattern.ell))
@@ -440,24 +457,22 @@ def formula_for_pattern(pattern: ForestPattern, n: int, p: int) -> FormulaResult
     if isinstance(pattern, LinearForestPattern):
         lengths = pattern.lengths
         if len(lengths) == 1:
-            return formula_for_pattern(PathPattern(lengths[0]), n, p)
+            return _formula(PathPattern(lengths[0]), n, p)
         if all(l == 3 for l in lengths):
             k = len(lengths)
             if p == 1:
                 return _double(ex_kP3(n, k))
-            return exp_kP3(n, k, p) if n >= k else None
+            return exp_kP3(n, k, p)
         if p == 1:
             return _double(ex_linear_forest(n, lengths))
         return exp_linear_forest(n, lengths, p)
     if isinstance(pattern, BroomPattern):
         ell, s = pattern.ell, pattern.s
         if s == 0:
-            return formula_for_pattern(PathPattern(ell), n, p)
+            return _formula(PathPattern(ell), n, p)
         if ell not in (4, 5, 6, 7):
             return None
         if p == 1:
-            if n < ell + s:
-                return None
             if ell == 4:
                 return _double(ex_broom4(n, s))
             if ell == 5:

@@ -7,15 +7,9 @@ empty graph, extending each class by neighbourhood masks of a new vertex
 and deduplicating (orderly generation: Read 1978; McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 1998).
 
-Deduplication canonizes only where the sorted degree sequence cannot
-decide.  Each level buckets its extensions by that sequence: the first
-arrival in a bucket is a new class and is kept uncanonized; when a second
-one arrives, the waiting member is canonized once, and from then on each
-arrival in the bucket is canonized and kept if its `canonical_code` is
-new.  So each extension is canonized at most once, and never when no
-other extension shares its degree sequence; each class keeps its first
-arrival, in first-arrival order, so the classes are the ones that
-canonizing every extension would keep.
+Deduplication has one rule: each extension that passes the pre-test
+below is canonized, and kept if its `canonical_code` is new.  So each
+class keeps its first arrival, in first-arrival order.
 
 Only twin-ordered masks are extended: a mask that holds a vertex must
 hold all of that vertex's lower-numbered twins in the base (open or
@@ -52,7 +46,7 @@ those left at the end get a canonical code.  A maximizer is reported by
 its canonical code and by the graph6 string of the graph that code
 spells, which is the least graph6 string over its labellings.
 
-Before an extension is bucketed or kept as a maximizer it must pass the
+Before an extension is canonized or kept as a maximizer it must pass the
 canonical-deletion pre-test (McKay 1998; nauty's `geng` runs a similar
 test): each vertex's invariant is (degree, sorted neighbour degrees) in
 the extended graph, compared lexicographically, and an extension is
@@ -259,11 +253,11 @@ def _rows(base: tuple[int, ...], mask: int) -> list[int]:
     return rows
 
 
-def _new_vertex_largest(rows: list[int], deg: list[int]) -> bool:
+def _new_vertex_largest(rows: list[int]) -> bool:
     """Canonical-deletion pre-test: False when some vertex's invariant
-    (degree, sorted neighbour degrees) exceeds the new, last vertex's;
-    deg holds the degrees of rows."""
+    (degree, sorted neighbour degrees) exceeds the new, last vertex's."""
     v = len(rows) - 1
+    deg = [row.bit_count() for row in rows]
     if deg[v] < max(deg):
         return False
     mine = None
@@ -283,28 +277,14 @@ def _level(classes: list[tuple[int, ...]], k: int,
     grown from the classes on k - 1."""
     level: list[tuple[int, ...]] = []
     codes: set[bytes] = set()
-    # sorted degree sequence -> its one uncanonized member, or None once the
-    # sequence has met a second extension
-    lone: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for base, mask in _extensions(classes, k, matcher, counts):
         rows = _rows(base, mask)
-        deg = [row.bit_count() for row in rows]
-        if not _new_vertex_largest(rows, deg):
-            continue
-        key = tuple(sorted(deg))
-        rows = tuple(rows)
-        if key not in lone:
-            lone[key] = rows
-            level.append(rows)
-            continue
-        first = lone[key]
-        if first is not None:
-            codes.add(canonical_code(Graph._trusted(k, first)))
-            lone[key] = None
-        code = canonical_code(Graph._trusted(k, rows))
-        if code not in codes:
-            codes.add(code)
-            level.append(rows)
+        if _new_vertex_largest(rows):
+            g = Graph._trusted(k, tuple(rows))
+            code = canonical_code(g)
+            if code not in codes:
+                codes.add(code)
+                level.append(g.rows)
     return level
 
 
@@ -399,7 +379,7 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *,
                     best = val
                     tied = []
                 rows = _rows(base, mask)
-                if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
+                if _new_vertex_largest(rows):
                     tied.append(rows)
     codes = {canonical_code(Graph._trusted(n, tuple(rows))) for rows in tied}
     maximizers = tuple(sorted((g6_from_code(code), code.hex())

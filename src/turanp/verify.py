@@ -55,7 +55,7 @@ class ConfigError(ValueError):
 
 
 def parse_config(text: str) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
+    cfg: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,6 +65,8 @@ def parse_config(text: str) -> dict:
         val = val.strip()
         if not eq or key not in DEFAULT_CONFIG:
             raise ConfigError(f"line {lineno}: unknown or malformed entry {raw!r}")
+        if key in cfg:
+            raise ConfigError(f"line {lineno}: repeated key {key}")
         try:
             if isinstance(DEFAULT_CONFIG[key], list):
                 cfg[key] = [int(x) for x in val.split(",") if x.strip()]
@@ -72,6 +74,7 @@ def parse_config(text: str) -> dict:
                 cfg[key] = int(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value {val!r} for {key}") from exc
+    cfg = {**DEFAULT_CONFIG, **cfg}
     validate_config(cfg)
     return cfg
 

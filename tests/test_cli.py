@@ -70,6 +70,24 @@ def test_formula_negative_n_is_domain_error(capsys, argv):
     assert code == 1 and out == "" and "need n >= 0" in err
 
 
+@pytest.mark.parametrize("argv, order", [
+    (("exp_path", "--n", "5", "--ell", "6", "--p", "2"), "H(n,F) needs n >= 6"),
+    (("ex_star_forest", "--n", "2", "--degrees", "3+2"),
+     "G(n,i,r_i) needs n >= 3"),
+    (("ex_kP3", "--n", "1", "--k", "2"), "K_{k-1}+M_{n-k+1} needs n >= 2"),
+    (("exp_broom", "--n", "0", "--ell", "4", "--s", "1", "--p", "2"),
+     "S_{n-1} needs n >= 1"),
+])
+def test_formula_below_construction_order_is_domain_error(capsys, argv, order):
+    code, out, err = run(capsys, "formula", "--name", *argv)
+    assert code == 1 and out == "" and order in err
+    # one vertex more and the construction exists
+    argv = list(argv)
+    argv[2] = str(int(argv[2]) + 1)
+    code, out, _ = run(capsys, "formula", "--name", *argv)
+    assert code == 0 and int(json.loads(out)["value"]) >= 0
+
+
 def test_free_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(g6_encode(h_path(20, 6)) + "\n"))
     code, out, _ = run(capsys, "free", "--pattern", "broom:6,3", "--in", "-")
@@ -108,6 +126,9 @@ def test_usage_errors():
 def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "construct", "--family", "h-path:n=3,ell=6")
     assert code == 1 and "error" in err
+    code, out, err = run(capsys, "construct", "--family", "complete:t=3,t=4")
+    assert code == 1 and out == ""
+    assert "repeated parameter 't'" in err
 
 
 def test_byte_stability(capsys):
@@ -291,6 +312,22 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     cfg.write_text("wat = 3\n")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 1 and "unknown" in err
+
+
+def test_verify_config_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("oracle.n_max = 5\n# again\noracle.n_max = 6\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert "line 3: repeated key oracle.n_max" in err
+
+
+def test_verify_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "nosuch.cfg"
+    code, out, err = run(capsys, "verify", "--config", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
 
 
 def test_verify_freeness_below_sample_orders(tmp_path, capsys):

@@ -170,5 +170,7 @@ def test_family_grammar():
         parse_family("h-path:n=10")  # ell missing
     with pytest.raises(ValueError):
         parse_family("h-path:n=10,ell=abc")
+    with pytest.raises(ValueError, match="repeated parameter 't'"):
+        parse_family("complete:t=3,t=4")
     with pytest.raises(GraphCapError):
         build_family("h-path:n=70,ell=6")

@@ -327,13 +327,24 @@ def test_formula_for_pattern_grid_never_raises():
         for n in range(40):
             for p in range(1, 5):
                 res = formula_for_pattern(pat, n, p)
-                assert res is None or isinstance(res, FormulaResult), (text, n, p)
                 if res is None:
                     nones.add((text, n, p))
+                    continue
+                assert isinstance(res, FormulaResult), (text, n, p)
+                # a value some graph on n vertices has
+                assert 0 <= res.value <= n * (n - 1) ** p, (text, n, p)
     # below the ranges of the B_{4,s}, B_{5,s} and kP_3 results
     assert ("broom:4,2", 5, 1) in nones and ("broom:4,2", 6, 1) not in nones
     assert ("broom:5,3", 7, 1) in nones and ("broom:5,3", 11, 1) not in nones
     assert ("linear:3,3,3", 2, 2) in nones and ("linear:3,3,3", 3, 2) not in nones
+    # below the order of the construction a closed form evaluates
+    assert ("path:7", 6, 2) in nones and ("path:7", 7, 2) not in nones
+    assert ("path:7", 6, 1) not in nones  # ex_path holds for every n
+    assert ("stars:3,3,3", 4, 2) in nones and ("stars:3,3,3", 5, 2) not in nones
+    assert ("stars:2,1", 1, 1) in nones and ("stars:2,1", 2, 1) not in nones
+    assert ("linear:3,2", 4, 3) in nones and ("linear:3,2", 5, 3) not in nones
+    assert ("broom:6,3", 5, 2) in nones and ("broom:6,3", 6, 2) not in nones
+    assert ("broom:4,1", 0, 2) in nones and ("broom:4,1", 1, 2) not in nones
     # an evaluator's ValueError is no longer read as "no formula"
     with pytest.raises(ValueError):
         formula_for_pattern(PathPattern(4), 9, 0)

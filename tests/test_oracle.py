@@ -230,7 +230,7 @@ def classes_canonizing_all(k, matcher):
         seen = {}
         for base, mask in _extensions(classes, j, matcher, _Counts()):
             rows = _rows(base, mask)
-            if _new_vertex_largest(rows, [row.bit_count() for row in rows]):
+            if _new_vertex_largest(rows):
                 g = Graph._trusted(j, tuple(rows))
                 seen.setdefault(canonical_code(g), g.rows)
         classes = list(seen.values())
@@ -248,16 +248,21 @@ def test_degree_sequence_dedup_matches_canonizing_every_extension(spec):
                 == classes_canonizing_all(k, matcher)), k
 
 
-@pytest.mark.parametrize("spec, n, meta, calls_canonizing_all", [
-    ("path:6", 6, (383, 223), 70),
-    ("stars:2,2", 7, (1927, 1514), 127),
-    ("linear:3,2", 8, (1120, 951), 67),
+@pytest.mark.parametrize("spec, n, meta, pretested", [
+    ("path:6", 6, (383, 223), 73),
+    ("stars:2,2", 7, (1927, 1514), 110),
+    ("linear:3,2", 8, (1120, 951), 17),
 ])
 @pytest.mark.usefixtures("cold_levels")
-def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
-                                 calls_canonizing_all):
-    # calls_canonizing_all: canonical_code calls when every extension
-    # passing the pre-test is canonized, at every level
+def test_lazy_canonization_calls(monkeypatch, spec, n, meta, pretested):
+    # pretested: last-level extensions passing the pre-test; with the
+    # levels below built, the last level canonizes only its one maximizer
+    pattern = parse_pattern(spec)
+    max_ep(n, pattern, 1)
+    matcher = AnchoredMatcher(pattern.edge_list())
+    bases = _classes(n - 1, matcher, _Counts())
+    assert sum(_new_vertex_largest(_rows(base, mask)) for base, mask
+               in _extensions(bases, n, matcher, _Counts())) == pretested
     calls = 0
     real = oracle.canonical_code
 
@@ -267,9 +272,9 @@ def test_lazy_canonization_calls(monkeypatch, spec, n, meta,
         return real(g)
 
     monkeypatch.setattr(oracle, "canonical_code", counted)
-    rep = max_ep(n, parse_pattern(spec), 2)
+    rep = max_ep(n, pattern, 2)
     assert (rep.graphs_visited, rep.pruned) == meta
-    assert calls <= calls_canonizing_all // 2
+    assert calls == len(rep.maximizers) == 1
 
 
 def classes_growing_every_level(k, matcher, counts):
@@ -467,32 +472,18 @@ def test_each_level_is_cached_once(cold_levels):
 
 
 def test_import_builds_no_levels():
-    # nothing is enumerated before the first query
-    src = str(Path(oracle.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = ("import turanp\n"
-            "for cache in ('_levels', '_matcher'):\n"
-            "    print(getattr(turanp.oracle, cache).cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, check=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "0\n0\n"
-
-
-def test_verify_range_export_loads_verify_on_first_use():
-    # `import turanp` does not load the verify suites; reading
-    # turanp.verify_range does
+    # nothing is enumerated before the first query, and the verify suites,
+    # which nothing else in the library needs, are not loaded
     src = str(Path(oracle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import sys, turanp\n"
-            "print('turanp.verify' in sys.modules)\n"
-            "from turanp import verify_range\n"
-            "from turanp import verify\n"
-            "print(verify_range is verify.verify_range)")
+            "for cache in ('_levels', '_matcher'):\n"
+            "    print(getattr(turanp.oracle, cache).cache_info().currsize)\n"
+            "print('turanp.verify' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "False\nTrue\n"
+    assert proc.stdout == "0\n0\nFalse\n"
 
 
 def max_ep_unbounded(n, pattern, p):
