@@ -562,6 +562,15 @@ def test_criterion_7d_oracle_determinism():
               "battery (n <= 9, p <= 3) and reruns identically", bad)
 
 
+def golden_values():
+    """{(pattern text, n, p): max_value} of the golden table."""
+    ex = {}
+    for key, entry in json.loads(GOLDEN_ORACLE.read_text())["entries"].items():
+        text, n, p = key.split("|")
+        ex[text, int(n.removeprefix("n=")), int(p.removeprefix("p="))] = entry["max_value"]
+    return ex
+
+
 def test_criterion_7e_golden_table_obeys_laws():
     """Laws any correct ex_p obeys, checked on the golden table that
     criterion 7d pins the oracle to: monotone in the pattern
@@ -570,10 +579,7 @@ def test_criterion_7e_golden_table_obeys_laws():
     F (ex_p(m) + ex_p(n - m) <= ex_p(n), since a disjoint union of F-free
     graphs is F-free; one comparison per split m <= n - m) and monotone
     in n.  A matcher fault that froze into the table breaks one of them."""
-    ex = {}
-    for key, entry in json.loads(GOLDEN_ORACLE.read_text())["entries"].items():
-        text, n, p = key.split("|")
-        ex[text, int(n.removeprefix("n=")), int(p.removeprefix("p="))] = entry["max_value"]
+    ex = golden_values()
     pats = {text: patterns.parse_pattern(text) for text, _, _ in ex}
     hosts = {text: Graph.from_edges(pat.order(), pat.edge_list())
              for text, pat in pats.items()}
@@ -605,3 +611,23 @@ def test_criterion_7e_golden_table_obeys_laws():
               f"{sum(map(len, subpatterns.values()))} pattern "
               f"pairs), superadditive for connected patterns "
               f"({counts['superadditive']}) and monotone in n ({counts['n']})", bad)
+
+
+def test_criterion_7f_closed_forms_are_lower_bounds():
+    """A closed form is e_p of an extremal host that is F-free wherever it
+    is defined, so in or out of its window it is at most ex_p(n, F): every
+    value formula_for_pattern gives on the golden grid is at most the
+    golden maximum."""
+    bad = []
+    compared = 0
+    ex = golden_values()
+    for (text, n, p), value in ex.items():
+        form = formulas.formula_for_pattern(patterns.parse_pattern(text), n, p)
+        if form is not None:
+            compared += 1
+            if form.value > value:
+                bad.append(f"{text}, n={n}, p={p}: formula {form.value} > ex_p {value}")
+    if compared != 252:
+        bad.append(f"{compared} closed forms on the golden grid, expected 252")
+    report(7, f"criterion 7f: {compared} of {len(ex)} golden entries have a closed "
+              "form, and none exceeds the oracle's maximum", bad)

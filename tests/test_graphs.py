@@ -22,6 +22,8 @@ from turanp.graphs import (
     graph_from_code,
     iter_bits,
     join,
+    _triangle_bits,
+    _triangle_rows,
 )
 from turanp.families import (
     complete_graph,
@@ -506,23 +508,94 @@ def test_g6_from_code_spells_the_code_graph():
         assert g6_from_code(code) == g6_encode(graph_from_code(code)), code.hex()
 
 
-@pytest.mark.parametrize("code, message", [
-    (b"", "empty"),
-    (bytes([5]), "expected 3"),  # n = 5 has 10 bits: two bytes after n
-    (bytes.fromhex("05000000"), "expected 3"),  # one byte too many
-    (bytes.fromhex("03ff"), "padding"),  # K_3 spelled with the pad set
-    (bytes.fromhex("0201"), "padding"),
-    (bytes.fromhex("0100"), "expected 1"),
-], ids=["empty", "short", "surplus-byte", "padding-n3", "padding-n2", "surplus-n1"])
-def test_graph_from_code_is_strict(code, message):
+@pytest.mark.parametrize("code, error, message", [
+    (b"", ValueError, "empty"),
+    (bytes([5]), ValueError, "expected 3"),  # n = 5 has 10 bits: two bytes after n
+    (bytes.fromhex("05000000"), ValueError, "expected 3"),  # one byte too many
+    (bytes.fromhex("03ff"), ValueError, "padding"),  # K_3 spelled with the pad set
+    (bytes.fromhex("0201"), ValueError, "padding"),
+    (bytes.fromhex("0100"), ValueError, "expected 1"),
+    # well-formed codes beyond the vertex cap: 2,080 bits in 260 bytes,
+    # and 32,385 bits in 4,049 bytes with 7 padding bits
+    (bytes([65]) + bytes(260), GraphCapError, r"vertex count 65 outside \[0, 64\]"),
+    (bytes([255]) + bytes(4049), GraphCapError, r"vertex count 255 outside \[0, 64\]"),
+], ids=["empty", "short", "surplus-byte", "padding-n3", "padding-n2", "surplus-n1",
+        "n65", "n255"])
+def test_graph_from_code_is_strict(code, error, message):
     for decode in (graph_from_code, g6_from_code):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             decode(code)
 
 
 def test_canonical_cap():
     with pytest.raises(ValueError):
         canonical_code(empty_graph(11))
+
+
+# ---------------------------------------------------------------------
+# the upper-triangle bitstring
+# ---------------------------------------------------------------------
+
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+# n at which _TRANSPOSE's row stride changes, and either side of it
+STRIDE_BOUNDARIES = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 63, 64)
+
+
+def _reference_triangle_rows(n, bits):
+    """The rows of an n-vertex triangle bitstring set one edge at a time,
+    the reference for the unpack by transpose in ``_triangle_rows``."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 7) // 8
+    flipped = (bits << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    reverse = int.from_bytes(flipped.translate(_BYTE_REVERSED), "little")
+    rows = [0] * n
+    for j in range(1, n):
+        column = reverse & ((1 << j) - 1)
+        reverse >>= j
+        rows[j] |= column
+        for i in iter_bits(column):
+            rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def _triangles(count=20_000, seed=24):
+    """Every triangle with n <= 6, then ``count`` seeded ones with n <= 64
+    at densities 1/4, 1/2 and 3/4, then the empty, complete and a random
+    triangle at every stride boundary."""
+    for n in range(7):
+        yield from ((n, bits) for bits in range(1 << n * (n - 1) // 2))
+    rng = random.Random(seed)
+    for k in range(count):
+        m = (n := rng.randint(0, 64)) * (n - 1) // 2
+        bits = rng.getrandbits(m)
+        yield n, (bits & rng.getrandbits(m), bits, bits | rng.getrandbits(m))[k % 3]
+    for n in STRIDE_BOUNDARIES:
+        m = n * (n - 1) // 2
+        yield from ((n, 0), (n, (1 << m) - 1), (n, rng.getrandbits(m)))
+
+
+def test_triangle_rows_match_per_edge_reference():
+    total = 0
+    for n, bits in _triangles():
+        rows = _triangle_rows(n, bits)
+        assert rows == _reference_triangle_rows(n, bits), (n, bits)
+        assert _triangle_bits(rows) == bits, (n, bits)
+        total += 1
+    assert total == sum(1 << n * (n - 1) // 2 for n in range(7)) + 20_000 + 3 * 14
+
+
+def test_codecs_round_trip_at_stride_boundaries():
+    rng = random.Random(25)
+    for n in STRIDE_BOUNDARIES:
+        nbits = n * (n - 1) // 2
+        nbytes = (nbits + 7) // 8
+        for prob in (0.0, 0.05, 0.5, 0.95, 1.0):
+            g = random_graph(rng, n, prob)
+            assert g6_decode(g6_encode(g)) == g, (n, prob)
+            code = bytes([n]) + (_triangle_bits(g.rows) << 8 * nbytes - nbits).to_bytes(
+                nbytes, "big")
+            assert graph_from_code(code) == g, (n, prob)
 
 
 # ---------------------------------------------------------------------

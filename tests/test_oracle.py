@@ -222,30 +222,19 @@ def test_canonical_deletion_filter_fires(monkeypatch):
     assert calls <= 7195 // 4
 
 
-def classes_canonizing_all(k, matcher):
-    """Reference dedup: canonize every extension passing the pre-test and
-    keep the first arrival of each class."""
-    classes = [()]
-    for j in range(1, k + 1):
-        seen = {}
-        for base, mask in _extensions(classes, j, matcher, _Counts()):
-            rows = _rows(base, mask)
-            if _new_vertex_largest(rows):
-                g = Graph._trusted(j, tuple(rows))
-                seen.setdefault(canonical_code(g), g.rows)
-        classes = list(seen.values())
-    return classes
-
-
 @pytest.mark.parametrize("spec", [*CLASS_COUNTS, None])
-def test_degree_sequence_dedup_matches_canonizing_every_extension(spec):
-    # the same representatives in the same order, so everything built on
-    # them (matcher calls, counters, maximizers) is unchanged
-    matcher = (None if spec is None
-               else AnchoredMatcher(parse_pattern(spec).edge_list()))
-    for k in range(1, 8):
-        assert (_classes(k, matcher, _Counts())
-                == classes_canonizing_all(k, matcher)), k
+def test_classes_are_the_free_labelled_graphs_up_to_isomorphism(spec):
+    # one representative per class, and every class of F-free graphs on k
+    # vertices, against all labelled graphs screened by the generic matcher
+    edges = [] if spec is None else parse_pattern(spec).edge_list()
+    matcher = None if spec is None else AnchoredMatcher(edges)
+    for k in range(1, 6):
+        codes = [canonical_code(Graph(k, rows))
+                 for rows in _classes(k, matcher, _Counts())]
+        want = {canonical_code(g) for g in all_graphs(k)
+                if not edges or contains_forest_generic(g, edges) is False}
+        assert len(codes) == len(set(codes)), k
+        assert set(codes) == want, k
 
 
 @pytest.mark.parametrize("spec, n, meta, pretested", [
