@@ -12,6 +12,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -527,6 +528,12 @@ def _triangle_rows(n: int, bits: int) -> tuple[int, ...]:
 
 _G6_HEADER = ">>graph6<<"
 
+# graph6 digits 63..126 are the 64 base64 letters in order, so the codec runs
+# through binascii under one byte map each way
+_B64_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64_LETTERS)
+_B64_TO_G6 = bytes.maketrans(_B64_LETTERS, bytes(range(63, 127)))
+
 
 def g6_encode(g: Graph) -> str:
     """Encode in graph6: header byte(s) for n, then the upper-triangle
@@ -536,16 +543,18 @@ def g6_encode(g: Graph) -> str:
 
 def _g6_text(n: int, bits: int) -> str:
     """The graph6 string of the n-vertex graph whose ``_triangle_bits``
-    value is ``bits``."""
+    value is ``bits``.  The groups are zero-padded to whole base64 quads
+    (24 bits), spelled by ``b2a_base64`` and cut back to ``groups``."""
     if n <= 62:
         header = chr(63 + n)
     else:
         header = chr(126) + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     nbits = n * (n - 1) // 2
     groups = (nbits + 5) // 6
-    bits <<= 6 * groups - nbits
-    return header + "".join(chr(63 + (bits >> shift & 63))
-                            for shift in range(6 * groups - 6, -1, -6))
+    quads = (groups + 3) // 4
+    raw = (bits << (24 * quads - nbits)).to_bytes(3 * quads, "big")
+    text = binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+    return header + text[:groups].decode("ascii")
 
 
 def g6_decode(s: str | bytes) -> Graph:
@@ -560,7 +569,7 @@ def g6_decode(s: str | bytes) -> Graph:
         s = s[len(_G6_HEADER) :]
     if not s:
         raise Graph6Error("empty graph6 string")
-    if any(not 63 <= ord(c) <= 126 for c in s):
+    if min(s) < "?" or max(s) > "~":
         raise Graph6Error("graph6 byte outside printable range 63..126")
     if ord(s[0]) == 126:
         if len(s) >= 2 and ord(s[1]) == 126:
@@ -584,10 +593,13 @@ def g6_decode(s: str | bytes) -> Graph:
         raise Graph6Error(
             f"graph6 payload length {len(payload)}, expected {expect} for n={n}"
         )
-    bits = 0
-    for c in payload:
-        bits = bits << 6 | ord(c) - 63
-    pad = 6 * expect - nbits
+    # "?" is digit 0, so padding to whole quads adds zero bits only, and
+    # every bit past nbits must be zero
+    quads = (expect + 3) // 4
+    raw = binascii.a2b_base64(
+        (payload + "?" * (4 * quads - expect)).encode("ascii").translate(_G6_TO_B64))
+    bits = int.from_bytes(raw, "big")
+    pad = 24 * quads - nbits
     if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits in graph6 payload")
     return Graph(n, _triangle_rows(n, bits >> pad))

@@ -95,6 +95,16 @@ def test_free_stdin(capsys, monkeypatch):
     assert json.loads(out)["free"] is True
 
 
+def test_ep_stdin_malformed_line_fails_the_whole_input(capsys, monkeypatch):
+    # every line is decoded before any is printed, so one bad line in the
+    # middle prints nothing and names the fault
+    lines = [g6_encode(h_path(20, 6)), "B w", "Bw"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = run(capsys, "ep", "--p", "2", "--in", "-")
+    assert (code, out) == (1, "")
+    assert err == "error: graph6 byte outside printable range 63..126\n"
+
+
 def test_free_budget_unknown(capsys):
     code, out, _ = run(capsys, "free", "--pattern", "path:6",
                        "--family", "h-path:n=24,ell=6", "--budget", "1")

@@ -2,6 +2,7 @@
 import gc
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -667,17 +668,167 @@ def test_g6_long_form_header_is_strict():
 
 
 def test_g6_errors():
-    with pytest.raises(Graph6Error):
-        g6_decode("")
-    with pytest.raises(Graph6Error):
-        g6_decode("B")  # payload missing
-    with pytest.raises(Graph6Error):
-        g6_decode("Bww")  # trailing garbage
-    with pytest.raises(Graph6Error):
-        g6_decode("B\x20")  # byte below 63
-    with pytest.raises(Graph6Error):
-        g6_decode("AO")  # nonzero padding for n=2
-    with pytest.raises(Graph6Error):
-        g6_decode("~??~" + "?" * 325 + "@")  # n=63: last of 3 padding bits set
-    with pytest.raises(GraphCapError):
-        g6_decode(chr(126) + chr(63) + chr(65) + chr(63))  # n=128 beyond cap
+    cases = [
+        ("", Graph6Error, "empty graph6 string"),
+        ("B", Graph6Error, "graph6 payload length 0, expected 1 for n=3"),  # payload missing
+        ("Bww", Graph6Error, "graph6 payload length 2, expected 1 for n=3"),  # trailing garbage
+        # a trailing space is stripped, so this is the payload missing again
+        ("B\x20", Graph6Error, "graph6 payload length 0, expected 1 for n=3"),
+        ("B>", Graph6Error, "graph6 byte outside printable range 63..126"),  # 62
+        ("B\x7f", Graph6Error, "graph6 byte outside printable range 63..126"),  # above 126
+        ("Bé", Graph6Error, "graph6 byte outside printable range 63..126"),  # not ASCII
+        ("B w", Graph6Error, "graph6 byte outside printable range 63..126"),  # inner space
+        (b"B\xff", Graph6Error, "graph6 input is not ASCII"),
+        ("AO", Graph6Error, "nonzero padding bits in graph6 payload"),  # n=2
+        # n=63: last of 3 padding bits set
+        ("~??~" + "?" * 325 + "@", Graph6Error, "nonzero padding bits in graph6 payload"),
+        # n=128 beyond cap
+        (chr(126) + chr(63) + chr(65) + chr(63), GraphCapError,
+         "graph6 declares 128 vertices, cap is 64"),
+    ]
+    for s, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            g6_decode(s)
+
+
+def _reference_g6_text(n, bits):
+    """graph6 text built one 6-bit group at a time, the reference for the
+    ``binascii`` path in ``_g6_text``."""
+    if n <= 62:
+        header = chr(63 + n)
+    else:
+        header = chr(126) + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits <<= 6 * groups - nbits
+    return header + "".join(chr(63 + (bits >> shift & 63))
+                            for shift in range(6 * groups - 6, -1, -6))
+
+
+def _reference_g6_decode(s):
+    """``g6_decode`` checking and reading the text one character at a time,
+    with the same checks in the same order."""
+    if isinstance(s, bytes):
+        try:
+            s = s.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise Graph6Error("graph6 input is not ASCII") from exc
+    s = s.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise Graph6Error("empty graph6 string")
+    if any(not 63 <= ord(c) <= 126 for c in s):
+        raise Graph6Error("graph6 byte outside printable range 63..126")
+    if ord(s[0]) == 126:
+        if len(s) >= 2 and ord(s[1]) == 126:
+            raise Graph6Error("graph6 long-long size form not supported")
+        if len(s) < 4:
+            raise Graph6Error("truncated graph6 size header")
+        n = 0
+        for c in s[1:4]:
+            n = (n << 6) | (ord(c) - 63)
+        if n <= 62:
+            raise Graph6Error(f"long-form size header for n={n} (must be one byte)")
+        payload = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        payload = s[1:]
+    if n > 64:
+        raise GraphCapError(f"graph6 declares {n} vertices, cap is 64")
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    if len(payload) != expect:
+        raise Graph6Error(
+            f"graph6 payload length {len(payload)}, expected {expect} for n={n}"
+        )
+    bits = 0
+    for c in payload:
+        bits = bits << 6 | ord(c) - 63
+    pad = 6 * expect - nbits
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits in graph6 payload")
+    return Graph(n, _triangle_rows(n, bits >> pad))
+
+
+def _g6_outcome(decode, s):
+    """The graph ``decode(s)`` returns, or the type and message it raises."""
+    try:
+        return decode(s)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _differential_graphs():
+    """Every labelled graph with n <= 5, then seeded random graphs at every
+    n in 0..64 at densities 0.1, 0.5 and 0.9."""
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for mask in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+    rng = random.Random(26)
+    for n in range(65):
+        for prob in (0.1, 0.5, 0.9):
+            yield random_graph(rng, n, prob)
+
+
+def test_g6_codec_matches_per_character_reference():
+    total = 0
+    for g in _differential_graphs():
+        n, bits = g.n, _triangle_bits(g.rows)
+        text = _reference_g6_text(n, bits)
+        assert g6_encode(g) == text, text
+        assert g6_decode(text) == _reference_g6_decode(text) == g, text
+        nbits = n * (n - 1) // 2
+        nbytes = (nbits + 7) // 8
+        code = bytes([n]) + (bits << 8 * nbytes - nbits).to_bytes(nbytes, "big")
+        assert g6_from_code(code) == text, text
+        total += 1
+    assert total == 1100 + 65 * 3
+
+
+def _malformed_g6():
+    """graph6 inputs, mostly malformed: every byte 0..127 and two non-ASCII
+    characters in each header position and in payload positions; payloads
+    one group short or long at every n; each padding bit set at every n;
+    long-form headers for n = 62..65; and truncated headers."""
+    rng = random.Random(27)
+    odd = [chr(b) for b in range(128)] + ["é", "\udcff"]
+    for n in (3, 7, 8, 63):
+        s = g6_encode(random_graph(rng, n))
+        for k in {*range(6), len(s) - 1}:
+            yield from (s[:k] + c + s[k + 1 :] for c in odd)
+            yield from (s[:k].encode() + bytes([b]) + s[k + 1 :].encode() for b in range(256))
+    for n in range(65):
+        s = g6_encode(random_graph(rng, n))
+        yield from (s[:-1], s + "?", s + "~", " " + s + "\n", ">>graph6<<" + s)
+        pad = -(n * (n - 1) // 2) % 6
+        yield from (s[:-1] + chr(ord(s[-1]) | 1 << k) for k in range(pad))
+    for n in (62, 63, 64, 65):
+        header = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+        expect = (n * (n - 1) // 2 + 5) // 6
+        yield from (header + "?" * expect, header + "~" * expect, header + "?" * (expect - 1))
+    yield from ("", " ", ">>graph6<<", "~", "~?", "~??", "~~", "~~??????", b"", b"\x80")
+
+
+def test_g6_decode_errors_match_per_character_reference():
+    messages = set()
+    for s in _malformed_g6():
+        outcome = _g6_outcome(g6_decode, s)
+        assert outcome == _g6_outcome(_reference_g6_decode, s), repr(s)
+        if isinstance(outcome, tuple):
+            messages.add(re.sub(r"\b\d+\b", "#", outcome[1]))
+    # every check of g6_decode rejected something
+    assert messages == {
+        "graph6 input is not ASCII",
+        "empty graph6 string",
+        "graph6 byte outside printable range #..#",
+        "graph6 long-long size form not supported",
+        "truncated graph6 size header",
+        "long-form size header for n=# (must be one byte)",
+        "graph6 declares # vertices, cap is #",
+        "graph6 payload length #, expected # for n=#",
+        "nonzero padding bits in graph6 payload",
+    }
+    # n(n-1)/2 mod 6 is 0, 1, 3 or 4, so graph6 pads 0, 5, 3 or 2 bits
+    assert {-(n * (n - 1) // 2) % 6 for n in range(65)} == {0, 2, 3, 5}
