@@ -13,9 +13,7 @@ from .graphs import (
     GraphCapError,
     VERTEX_CAP,
     canonical_code,
-    degree_sequence,
     disjoint_union,
-    dominates,
     ep_value,
     g6_decode,
     g6_encode,

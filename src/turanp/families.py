@@ -78,7 +78,7 @@ def friendship_graph(n: int) -> Graph:
     """F_n: star on n vertices plus a maximum matching on its leaves."""
     if n < 3 or n % 2 == 0:
         raise ValueError("friendship graph needs odd n >= 3")
-    return join(complete_graph(1), matching_graph(n - 1))
+    return k_join_matching(n, 2)
 
 
 def broom_graph(ell: int, s: int) -> Graph:

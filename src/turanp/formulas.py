@@ -324,7 +324,10 @@ def exp_kP3(n: int, k: int, p: int) -> FormulaResult:
 def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
     """ex_p(n, B_{ell,s}) for ell in {4,5,6,7}.
 
-    ell=4, s>=1: e_p(S_{n-1}), window n > 2(s+4).
+    ell=4, s>=1: e_p(S_{n-1}), threshold unspecified.  No explicit
+      window is proven here, and 2(s+4) is not one: every component of
+      2K_5 u K_3 has fewer than the broom's s + 4 vertices, so it is
+      B_{4,2}-free, and at n = 13 its e_2 is 172 against 156.
     ell=5, s>=1: e_p(K_1 + M_{n-1}), window n > (2s+10)^2.
     ell=5, s=0:  e_p(H(n,5)), same window.
     ell=6: e_p(H(n,6)), window n > (2s+12)^2.
@@ -340,8 +343,7 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
             return exp_path(n, 4, p)
         _need_vertices(n, 1, "S_{n-1}")
         value = (n - 1) ** p + (n - 1)
-        return FormulaResult(value, n > 2 * (s + 4), f"n > 2(s+4) = {2 * (s + 4)}",
-                             "caro-yuster-2000")
+        return FormulaResult(value, False, _UNSPECIFIED, "caro-yuster-2000")
     if ell == 5:
         thr = (2 * s + 10) ** 2
         if s == 0:

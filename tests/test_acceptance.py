@@ -13,13 +13,12 @@ from turanp import families, formulas, oracle, patterns, rewrites, verify
 from turanp.graphs import (
     Graph,
     canonical_code,
-    dominates,
     ep_value,
     g6_decode,
     g6_encode,
 )
 
-from helpers import all_graphs
+from helpers import all_graphs, dominates
 
 BIG_N = [200, 500]
 P_POWER = range(2, 7)   # theorem range for the degree-power results

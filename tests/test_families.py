@@ -20,7 +20,9 @@ from turanp.families import (
     turan_graph,
     unbalanced_bipartite,
 )
-from turanp.graphs import GraphCapError, degree_sequence, ep_value, join
+from turanp.graphs import GraphCapError, ep_value, join
+
+from helpers import degree_sequence
 
 
 def test_matching():
@@ -45,6 +47,11 @@ def test_friendship():
     assert g == join(complete_graph(1), matching_graph(4))
     with pytest.raises(ValueError):
         friendship_graph(6)
+
+
+def test_friendship_is_k_join_matching_with_k_2():
+    for n in range(3, 64, 2):
+        assert friendship_graph(n).rows == k_join_matching(n, 2).rows, n
 
 
 def test_near_regular():

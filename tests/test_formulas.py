@@ -33,8 +33,14 @@ from turanp.formulas import (
     lemma_absorb_check,
     lemma_superadd_check,
 )
-from turanp.graphs import ep_value
-from turanp.patterns import BroomPattern, LinearForestPattern, PathPattern, parse_pattern
+from turanp.graphs import disjoint_union, ep_value
+from turanp.patterns import (
+    BroomPattern,
+    LinearForestPattern,
+    PathPattern,
+    is_free,
+    parse_pattern,
+)
 
 
 # ---------------------------------------------------------------------
@@ -169,7 +175,7 @@ def test_exp_kP3():
 def test_exp_broom():
     res = exp_broom(10, 4, 2, 2)
     assert res.value == 90 and not res.in_window
-    assert exp_broom(13, 4, 2, 2).in_window  # n > 2(s+4) = 12
+    assert not exp_broom(13, 4, 2, 2).in_window  # threshold unspecified
     res = exp_broom(200, 5, 3, 2)
     assert res.value == 40394 and not res.in_window  # window (2s+10)^2 = 256
     assert exp_broom(257, 5, 3, 2).in_window
@@ -184,6 +190,19 @@ def test_exp_broom():
         exp_broom(20, 8, 1, 2)
     with pytest.raises(ValueError):
         exp_broom(20, 5, 1, 1)
+
+
+def test_exp_broom4_claims_no_window_a_clique_union_refutes():
+    # every component of 2K_5 u K_3 has fewer than the broom's 6 vertices
+    g = disjoint_union(disjoint_union(complete_graph(5), complete_graph(5)),
+                       complete_graph(3))
+    assert g.n == 13 and is_free(g, BroomPattern(4, 2)) is True
+    res = exp_broom(13, 4, 2, 2)
+    assert ep_value(g, 2) == 172 > res.value == 156
+    assert not res.in_window and "unspecified" in res.window
+    for n in range(5, 65):
+        for s in range(1, 7):
+            assert not exp_broom(n, 4, s, 2).in_window, (n, s)
 
 
 def test_exp_turan_clique():

@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from turanp.graphs import (
     CANON_CAP,
+    VERTEX_CAP,
     Graph,
     Graph6Error,
     GraphCapError,
     canonical_code,
-    degree_sequence,
     disjoint_union,
-    dominates,
     ep_value,
     g6_decode,
     g6_encode,
@@ -23,6 +22,11 @@ from turanp.graphs import (
     graph_from_code,
     iter_bits,
     join,
+    _ROWS,
+    _TRANSPOSE,
+    _spread_stages,
+    _transpose,
+    _transpose_masks,
     _triangle_bits,
     _triangle_rows,
 )
@@ -43,7 +47,7 @@ from turanp.families import (
 )
 from turanp.oracle import nonisomorphic_graphs
 
-from helpers import partitions
+from helpers import all_graphs, degree_sequence, dominates, partitions
 
 
 @st.composite
@@ -539,7 +543,9 @@ def test_canonical_cap():
 
 _BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-# n at which _TRANSPOSE's row stride changes, and either side of it
+# the smallest orders (n <= 5), either side of each n at which
+# _TRANSPOSE's row stride (the next power of two >= max(n, 8)) changes,
+# and 63, the first n with a long-form graph6 header
 STRIDE_BOUNDARIES = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 63, 64)
 
 
@@ -597,6 +603,96 @@ def test_codecs_round_trip_at_stride_boundaries():
             code = bytes([n]) + (_triangle_bits(g.rows) << 8 * nbytes - nbits).to_bytes(
                 nbytes, "big")
             assert graph_from_code(code) == g, (n, prob)
+
+
+def test_spread_stages_place_every_column_once():
+    """The stages move the all-ones triangle to exactly the strictly lower
+    triangle at the row stride, largest shift first, with every masked bit
+    set and no bit landing on another."""
+    for n in range(VERTEX_CAP + 1):
+        stride = _TRANSPOSE[n][0]
+        assert stride == max(8, 1 << (n - 1).bit_length()), n
+        stages = _spread_stages(n)
+        assert len(stages) <= 12
+        assert [shift for shift, _ in stages] == sorted(
+            {shift for shift, _ in stages}, reverse=True), n
+        x = (1 << n * (n - 1) // 2) - 1
+        for shift, mask in stages:
+            t = x & mask
+            assert t == mask and not (x ^ t) & t << shift, (n, shift)
+            x = x ^ t | t << shift
+        assert x == sum(((1 << j) - 1) << j * stride for j in range(n)), n
+
+
+def test_row_structs_are_little_endian_at_the_stride():
+    """Standard sizes in little-endian order on any host: row v of the
+    packed matrix starts at bit v * stride."""
+    for n in range(VERTEX_CAP + 1):
+        rows, stride = _ROWS[n], _TRANSPOSE[n][0]
+        assert rows.format.startswith("<") and rows.size * 8 == n * stride, n
+        diagonal = rows.pack(*(1 << v for v in range(n)))
+        assert int.from_bytes(diagonal, "little") == _TRANSPOSE[n][1] & (
+            (1 << n * stride) - 1), n
+
+
+def _shift_loop_check(n, rows):
+    """Graph's validation as it was before the rows were packed through
+    ``struct``: the rows shifted in one at a time at a stride of the next
+    power of two >= n, then the same whole-matrix tests and row loops."""
+    if not 0 <= n <= VERTEX_CAP:
+        raise GraphCapError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
+    if len(rows) != n:
+        raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+    try:
+        stride, diagonal, rounds = _transpose_masks(1 << (n - 1).bit_length())
+        in_range = not rows or (min(rows) >= 0 and not max(rows) >> n)
+    except TypeError:
+        in_range = False
+    if in_range:
+        packed = 0
+        for row in reversed(rows):
+            packed = packed << stride | row
+        if not packed & diagonal and _transpose(packed, rounds) == packed:
+            return
+    _reference_row_check(n, rows)
+
+
+def _flipped(rows, v, w):
+    return rows[:v] + (rows[v] ^ 1 << w,) + rows[v + 1:]
+
+
+def _packing_matrices(seed=26):
+    """Every graph with n <= 5, alone and with each bit of its rows up to
+    bit n flipped; then at each stride boundary seeded graphs at densities
+    0.1, 0.5 and 0.9, alone and with an asymmetric or loop bit, a loop, a
+    bit beyond n and a negative row."""
+    for n in range(6):
+        for g in all_graphs(n):
+            yield n, g.rows
+            yield from ((n, _flipped(g.rows, v, w))
+                        for v in range(n) for w in range(n + 1))
+    rng = random.Random(seed)
+    for n in STRIDE_BOUNDARIES:
+        for k in range(60):
+            rows = random_graph(rng, n, (0.1, 0.5, 0.9)[k % 3]).rows
+            yield n, rows
+            if n:
+                v = rng.randrange(n)
+                for w in (rng.randrange(n), v, rng.randrange(n, 72)):
+                    yield n, _flipped(rows, v, w)
+                yield n, rows[:v] + (~rows[v],) + rows[v + 1:]
+
+
+def test_validation_matches_shift_loop_packing():
+    """Graph accepts and rejects what the shift-loop packing did, with the
+    same exception and message."""
+    accepted = rejected = 0
+    for n, rows in _packing_matrices():
+        want = _check_outcome(_shift_loop_check, n, rows)
+        assert _check_outcome(Graph, n, rows) == want, (n, rows)
+        accepted += want is None
+        rejected += want is not None
+    assert accepted > 1_900 and rejected > 30_000
 
 
 # ---------------------------------------------------------------------
