@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import random
 import sys
@@ -106,30 +107,24 @@ def cmd_free(args) -> int:
     return 0
 
 
-_FORMULAS: dict[str, tuple[tuple[str, ...], object]] = {
-    "ex_path": (("n", "ell"), lambda a: formulas.ex_path(a.n, a.ell)),
-    "eg_bound": (("n", "ell"),
-                 lambda a: formulas.FormulaResult(
-                     formulas.eg_bound(a.n, a.ell), True, "upper bound, all n",
-                     "erdos-gallai-1959")),
-    "ex_linear_forest": (("n", "lengths"),
-                         lambda a: formulas.ex_linear_forest(a.n, a.lengths)),
-    "ex_kP3": (("n", "k"), lambda a: formulas.ex_kP3(a.n, a.k)),
-    "ex_star_forest": (("n", "degrees"),
-                       lambda a: formulas.ex_star_forest(a.n, a.degrees)),
-    "ex_broom4": (("n", "s"), lambda a: formulas.ex_broom4(a.n, a.s)),
-    "ex_broom5": (("n", "s"), lambda a: formulas.ex_broom5_partial(a.n, a.s)),
-    "exp_path": (("n", "ell", "p"), lambda a: formulas.exp_path(a.n, a.ell, a.p)),
-    "exp_star": (("n", "r", "p"), lambda a: formulas.exp_star(a.n, a.r, a.p)),
-    "exp_star_forest": (("n", "degrees", "p"),
-                        lambda a: formulas.exp_star_forest(a.n, a.degrees, a.p)),
-    "exp_linear_forest": (("n", "lengths", "p"),
-                          lambda a: formulas.exp_linear_forest(a.n, a.lengths, a.p)),
-    "exp_kP3": (("n", "k", "p"), lambda a: formulas.exp_kP3(a.n, a.k, a.p)),
-    "exp_broom": (("n", "ell", "s", "p"),
-                  lambda a: formulas.exp_broom(a.n, a.ell, a.s, a.p)),
-    "exp_turan_clique": (("n", "r", "p"),
-                         lambda a: formulas.exp_turan_clique(a.n, a.r, a.p)),
+# each formula's parameters are the formula flags it needs
+_FORMULAS = {
+    "ex_path": formulas.ex_path,
+    "eg_bound": lambda n, ell: formulas.FormulaResult(
+        formulas.eg_bound(n, ell), True, "upper bound, all n",
+        "erdos-gallai-1959"),
+    "ex_linear_forest": formulas.ex_linear_forest,
+    "ex_kP3": formulas.ex_kP3,
+    "ex_star_forest": formulas.ex_star_forest,
+    "ex_broom4": formulas.ex_broom4,
+    "ex_broom5": formulas.ex_broom5_partial,
+    "exp_path": formulas.exp_path,
+    "exp_star": formulas.exp_star,
+    "exp_star_forest": formulas.exp_star_forest,
+    "exp_linear_forest": formulas.exp_linear_forest,
+    "exp_kP3": formulas.exp_kP3,
+    "exp_broom": formulas.exp_broom,
+    "exp_turan_clique": formulas.exp_turan_clique,
 }
 
 
@@ -138,13 +133,14 @@ def cmd_formula(args) -> int:
         print(f"error: unknown formula {args.name!r}; known: "
               f"{', '.join(sorted(_FORMULAS))}", file=sys.stderr)
         return 2
-    wanted, fn = _FORMULAS[args.name]
-    missing = [f"--{w}" for w in wanted if getattr(args, w, None) is None]
+    fn = _FORMULAS[args.name]
+    wanted = inspect.signature(fn).parameters
+    missing = [f"--{w}" for w in wanted if getattr(args, w) is None]
     if missing:
         print(f"error: formula {args.name} needs {' '.join(missing)}",
               file=sys.stderr)
         return 2
-    res = fn(args)
+    res = fn(**{w: getattr(args, w) for w in wanted})
     if isinstance(res, formulas.UnspecifiedBase) and args.resolve_base:
         if res.base_n <= oracle.ORACLE_CAP:
             base = oracle.max_ep(res.base_n, patterns.BroomPattern(5, res.s), 1)
@@ -218,6 +214,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _run_suite(cfg: dict, only: list[str] | None, out: str) -> int:
+    results = verify.run_suite(cfg, only)
+    _emit([r.to_json() for r in results], out)
+    return 0 if all(r.passed for r in results) else 1
+
+
 def cmd_verify(args) -> int:
     if args.config:
         try:
@@ -230,19 +232,12 @@ def cmd_verify(args) -> int:
     else:
         cfg = dict(verify.DEFAULT_CONFIG)
     only = args.only.split(",") if args.only else None
-    results = verify.run_suite(cfg, only)
-    rows = [r.to_json() for r in results]
-    _emit(rows, args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return _run_suite(cfg, only, args.out)
 
 
 def cmd_lemmas(args) -> int:
-    cfg = dict(verify.DEFAULT_CONFIG)
-    cfg["lemmas.span"] = args.span
-    verify.validate_config(cfg)
-    result = verify.check_lemmas(cfg)
-    _emit_json(result.to_json())
-    return 0 if result.passed else 1
+    return _run_suite({**verify.DEFAULT_CONFIG, "lemmas.span": args.span},
+                      ["lemmas"], args.out)
 
 
 # ---------------------------------------------------------------------
@@ -326,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lemmas", help="superadditivity and absorption grids")
-    p.add_argument("--span", type=int, default=12)
+    p.add_argument("--span", type=int,
+                   default=verify.DEFAULT_CONFIG["lemmas.span"])
     add_out(p, "json")
     p.set_defaults(func=cmd_lemmas)
 

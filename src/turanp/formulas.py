@@ -246,10 +246,8 @@ def exp_path(n: int, ell: int, p: int) -> FormulaResult:
     if ell <= 3:
         if p < 1:
             raise ValueError("need p >= 1")
-        if ell == 2:
-            value = 0
-        else:
-            value = n - 1 if n % 2 == 1 else n
+        # P_2 = S_1 and P_3 = S_2
+        value = exp_star(n, ell - 1, p).value
         return FormulaResult(value, True, "all n", "caro-yuster-2000")
     if p < 2:
         raise ValueError("need p >= 2 for ell >= 4")
@@ -379,10 +377,16 @@ def exp_turan_clique(n: int, r: int, p: int) -> FormulaResult:
 # lemma instance checks
 # ---------------------------------------------------------------------
 
-def _ep_extremal(ell: int, n: int, p: int, variant: str) -> int:
-    if variant == "a":
-        return ep_k_join_matching_value(n, 2, p)
-    return ep_h_linear_forest_value(n, [ell], p)
+def _lemma_host(ell: int, variant: str):
+    """n, p -> e_p(X(n)) for the host X the variant names: K_1+M_{n-1}
+    (variant "a", ell=5) or H(n,ell) (variant "b")."""
+    if variant not in ("a", "b"):
+        raise ValueError("variant must be 'a' or 'b'")
+    if variant == "b":
+        return lambda n, p: ep_h_linear_forest_value(n, [ell], p)
+    if ell != 5:
+        raise ValueError("variant 'a' is the ell=5 (K_1+M) case")
+    return lambda n, p: ep_k_join_matching_value(n, 2, p)
 
 
 def lemma_superadd_check(ell: int, n1: int, n2: int, p: int,
@@ -390,15 +394,10 @@ def lemma_superadd_check(ell: int, n1: int, n2: int, p: int,
     """Strict superadditivity of the broom extremal values:
     e_p(X(n1)) + e_p(X(n2)) < e_p(X(n1+n2)) where X is K_1+M_{n-1}
     (variant "a", ell=5) or H(n,ell) (variant "b", ell >= 5)."""
-    if variant not in ("a", "b"):
-        raise ValueError("variant must be 'a' or 'b'")
-    if variant == "a" and ell != 5:
-        raise ValueError("variant 'a' is the ell=5 (K_1+M) case")
+    ep_host = _lemma_host(ell, variant)
     if p < 2 or ell < 5 or min(n1, n2) < ell:
         raise ValueError("need p >= 2 and n1, n2 >= ell >= 5")
-    lhs = _ep_extremal(ell, n1, p, variant) + _ep_extremal(ell, n2, p, variant)
-    rhs = _ep_extremal(ell, n1 + n2, p, variant)
-    return lhs < rhs
+    return ep_host(n1, p) + ep_host(n2, p) < ep_host(n1 + n2, p)
 
 
 def lemma_absorb_check(ell: int, s: int, h: int, hstar: int, d: int, p: int,
@@ -407,10 +406,7 @@ def lemma_absorb_check(ell: int, s: int, h: int, hstar: int, d: int, p: int,
     (ell+s+d)^2, h >= ell, and any graph G* on hstar vertices with
     max degree <= d (so e_p(G*) <= hstar * d**p, the worst case checked
     here), e_p(X(h)) + e_p(G*) < e_p(X(n))."""
-    if variant not in ("a", "b"):
-        raise ValueError("variant must be 'a' or 'b'")
-    if variant == "a" and ell != 5:
-        raise ValueError("variant 'a' is the ell=5 (K_1+M) case")
+    ep_host = _lemma_host(ell, variant)
     if p < 2 or ell < 5 or s < 0 or d < 0:
         raise ValueError("need p >= 2, ell >= 5, s >= 0, d >= 0")
     n = h + hstar
@@ -418,9 +414,7 @@ def lemma_absorb_check(ell: int, s: int, h: int, hstar: int, d: int, p: int,
         raise ValueError("need hstar > 0 and h >= ell")
     if n <= (ell + s + d) ** 2:
         raise ValueError(f"need n = h+hstar > (ell+s+d)^2 = {(ell + s + d) ** 2}")
-    lhs = _ep_extremal(ell, h, p, variant) + hstar * d ** p
-    rhs = _ep_extremal(ell, n, p, variant)
-    return lhs < rhs
+    return ep_host(h, p) + hstar * d ** p < ep_host(n, p)
 
 
 # ---------------------------------------------------------------------

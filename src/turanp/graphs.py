@@ -102,6 +102,10 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise TypeError(f"vertex count must be an int, got {type(self.n).__name__}")
+        if type(self.rows) is not tuple:
+            raise TypeError(f"rows must be a tuple, got {type(self.rows).__name__}")
         if not 0 <= self.n <= VERTEX_CAP:
             raise GraphCapError(f"vertex count {self.n} outside [0, {VERTEX_CAP}]")
         if len(self.rows) != self.n:

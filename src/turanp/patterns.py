@@ -98,7 +98,9 @@ class ForestPattern:
     """Base class; concrete variants below."""
 
     def order(self) -> int:
-        raise NotImplementedError
+        """Vertex count: one past the largest vertex, since every pattern
+        vertex lies on an edge."""
+        return 1 + max(max(e) for e in self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int]]:
         raise NotImplementedError
@@ -115,9 +117,6 @@ class PathPattern(ForestPattern):
         if self.ell < 2:
             raise ValueError("path pattern needs ell >= 2")
 
-    def order(self) -> int:
-        return self.ell
-
     def edge_list(self) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(self.ell - 1)]
 
@@ -133,9 +132,6 @@ class LinearForestPattern(ForestPattern):
         if not self.lengths or any(l < 2 for l in self.lengths):
             raise ValueError("linear forest needs path orders >= 2")
         object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
-
-    def order(self) -> int:
-        return sum(self.lengths)
 
     def edge_list(self) -> list[tuple[int, int]]:
         edges = []
@@ -157,9 +153,6 @@ class StarPattern(ForestPattern):
         if self.r < 1:
             raise ValueError("star pattern needs r >= 1")
 
-    def order(self) -> int:
-        return self.r + 1
-
     def edge_list(self) -> list[tuple[int, int]]:
         return [(0, i) for i in range(1, self.r + 1)]
 
@@ -175,9 +168,6 @@ class StarForestPattern(ForestPattern):
         if not self.degrees or any(r < 1 for r in self.degrees):
             raise ValueError("star forest needs star degrees >= 1")
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees, reverse=True)))
-
-    def order(self) -> int:
-        return sum(self.degrees) + len(self.degrees)
 
     def edge_list(self) -> list[tuple[int, int]]:
         edges = []
@@ -199,9 +189,6 @@ class BroomPattern(ForestPattern):
     def __post_init__(self):
         if self.ell < 4 or self.s < 0:
             raise ValueError("broom pattern needs ell >= 4, s >= 0")
-
-    def order(self) -> int:
-        return self.ell + self.s
 
     def edge_list(self) -> list[tuple[int, int]]:
         edges = [(i, i + 1) for i in range(self.ell - 1)]

@@ -57,6 +57,23 @@ def test_formula_missing_param_is_usage_error(capsys):
     assert code == 2 and "--ell" in err
 
 
+def test_every_formula_names_its_flags_and_runs_with_them(capsys):
+    flags = {"ex_path": "--ell", "eg_bound": "--ell",
+             "ex_linear_forest": "--lengths", "ex_kP3": "--k",
+             "ex_star_forest": "--degrees", "ex_broom4": "--s",
+             "ex_broom5": "--s", "exp_path": "--ell --p",
+             "exp_star": "--r --p", "exp_star_forest": "--degrees --p",
+             "exp_linear_forest": "--lengths --p", "exp_kP3": "--k --p",
+             "exp_broom": "--ell --s --p", "exp_turan_clique": "--r --p"}
+    every = ("--p", "2", "--ell", "6", "--s", "2", "--k", "3", "--r", "4",
+             "--lengths", "5+3", "--degrees", "3+2")
+    for name, needs in flags.items():
+        code, out, err = run(capsys, "formula", "--name", name, "--n", "13")
+        assert (code, out, err) == (2, "", f"error: formula {name} needs {needs}\n")
+        code, out, err = run(capsys, "formula", "--name", name, "--n", "13", *every)
+        assert code == 0 and err == "" and "window" in json.loads(out), name
+
+
 @pytest.mark.parametrize("argv", [
     ("exp_star", "--n", "-2", "--r", "2", "--p", "2"),
     ("ex_kP3", "--n", "-1", "--k", "1"),
@@ -377,7 +394,30 @@ def test_verify_rewrites_needs_site_discovery(monkeypatch, capsys):
                                     "edge#0: planted site not found")
 
 
+def test_verify_default_suite(capsys):
+    # the shipped suite at its default config, every check run once
+    code, out, err = run(capsys, "verify")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        '{"check": "consistency", "detail": "1485 instances, 0 mismatches", "pass": true}',
+        '{"check": "freeness", "detail": "207 instances, 0 failures", "pass": true}',
+        '{"check": "oracle", "detail": "39 instances, 0 disagreements", "pass": true}',
+        '{"check": "lemmas", "detail": "1452 instances, 0 failed instances", "pass": true}',
+        '{"check": "rewrites", "detail": "50 instances, 0 failures", "pass": true}',
+        '{"check": "e4", "detail": "2 instances, unbalanced e_4 = 625499700, '
+        'Turan graph e_4 = 625000000", "pass": true}',
+    ]
+
+
 def test_lemmas_cmd(capsys):
     code, out, _ = run(capsys, "lemmas", "--span", "3")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_lemmas_is_verify_only_lemmas(tmp_path, capsys):
+    cfg = tmp_path / "span.cfg"
+    cfg.write_text("lemmas.span = 3\n")
+    want = run(capsys, "verify", "--config", str(cfg), "--only", "lemmas")
+    assert run(capsys, "lemmas", "--span", "3") == want
+    assert run(capsys, "lemmas") == run(capsys, "verify", "--only", "lemmas")

@@ -134,6 +134,15 @@ def test_exp_path():
     assert exp_path(10, 5, 2).value == 96
     with pytest.raises(ValueError):
         exp_path(10, 6, 1)
+    # P_2 = S_1 and P_3 = S_2: exp_path reads them off exp_star
+    for n in range(0, 40):
+        for p in range(1, 5):
+            assert exp_path(n, 2, p).value == 0
+            assert exp_path(n, 3, p).to_json() == {
+                "value": str(n - 1 if n % 2 else n), "in_window": True,
+                "window": "all n", "source": "caro-yuster-2000"}
+    with pytest.raises(ValueError, match="need p >= 1"):
+        exp_path(5, 3, 0)
 
 
 def test_exp_star():
@@ -299,8 +308,10 @@ def test_lemma_superadd_examples():
     assert lemma_superadd_check(5, 5, 5, 2, "a")
     assert lemma_superadd_check(6, 6, 7, 2, "b")
     assert lemma_superadd_check(7, 7, 7, 3, "b")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="variant 'a' is the ell=5"):
         lemma_superadd_check(6, 6, 6, 2, "a")
+    with pytest.raises(ValueError, match="variant must be 'a' or 'b'"):
+        lemma_superadd_check(5, 5, 5, 2, "c")
     with pytest.raises(ValueError):
         lemma_superadd_check(5, 4, 5, 2, "a")
 
@@ -314,6 +325,10 @@ def test_lemma_absorb_examples():
         lemma_absorb_check(7, 1, 1160, 2, 27, 2, "b")  # n=1162 <= 35^2
     with pytest.raises(ValueError):
         lemma_absorb_check(5, 0, 96, 0, 5, 2, "a")
+    with pytest.raises(ValueError, match="variant 'a' is the ell=5"):
+        lemma_absorb_check(6, 0, 140, 5, 6, 2, "a")
+    with pytest.raises(ValueError, match="variant must be 'a' or 'b'"):
+        lemma_absorb_check(6, 0, 140, 5, 6, 2, "c")
 
 
 # ---------------------------------------------------------------------

@@ -79,6 +79,16 @@ def test_validation_rejects_bad_rows():
         Graph.empty(65)
 
 
+@pytest.mark.parametrize("n, rows, named", [
+    (2, [0, 0], "list"),       # a frozen Graph must not hold a mutable list
+    (True, (0,), "bool"),      # bool is an int subclass, not a vertex count
+    (3.0, (0, 0, 0), "float"),
+])
+def test_validation_rejects_wrong_field_types(n, rows, named):
+    with pytest.raises(TypeError, match=f"got {named}$"):
+        Graph(n, rows)
+
+
 def _reference_row_check(n, rows):
     """Graph's row check written one bit at a time, the reference for
     the whole-matrix tests in ``Graph.__post_init__``."""

@@ -79,6 +79,20 @@ def test_pattern_metadata():
     assert p.order() == 7
     assert sorted(p.edge_list()) == [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)]
     assert parse_pattern(p.text()) == p
+    # the order each class states, against the one rule that reads it
+    # off the edge list
+    for ell in range(2, 11):
+        assert PathPattern(ell).order() == ell
+    for r in range(1, 10):
+        assert StarPattern(r).order() == r + 1
+    for ell in range(4, 10):
+        for s in range(6):
+            assert BroomPattern(ell, s).order() == ell + s
+    for parts in ((2,), (3, 2), (6, 4, 2), (5, 5, 5)):
+        assert LinearForestPattern(parts).order() == sum(parts)
+    for parts in ((1,), (2, 1), (6, 3, 1), (4, 4, 4)):
+        assert StarForestPattern(parts).order() == sum(parts) + len(parts)
+    assert parse_pattern("kpath:3x5").order() == 15
 
 
 # ---------------------------------------------------------------------
