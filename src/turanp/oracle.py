@@ -16,17 +16,22 @@ hold all of that vertex's lower-numbered twins in the base (open or
 closed, as `lower_twins` finds them).  Swapping two twins is an
 automorphism of the base, so masks that differ only within twin classes
 give isomorphic extensions, and each such orbit keeps exactly one
-twin-ordered mask, the one taking every class lowest index first.
+twin-ordered mask, the one taking every class lowest index first.  The
+twin-ordered masks depend on the base's rows alone, so `_twin_ordered`
+finds them once, when a base is first extended, and every later level
+build or query that extends the same rows reads them back; masks that
+are not twin-ordered are never visited.
 
 A mask is decided from its submasks with one neighbour fewer first, all
 of them smaller and so decided earlier.  Dropping the highest neighbour
 keeps the mask twin-ordered (no vertex left in it has the dropped,
 highest one as a lower twin), so that submask always has a verdict; the
-others have one when they are twin-ordered too.  If any submask with a
-verdict was rejected, so is the mask, untested, because base + v with
-N(v) = mask - u is a subgraph of base + v.  Otherwise each free submask
-mask - u forces the edge v-u: a copy of the pattern in base + v that
-misses v-u is a copy in base + v with N(v) = mask - u, which has none.
+others have one when they are twin-ordered too, and read as undecided
+otherwise.  If any submask with a verdict was rejected, so is the mask,
+untested, because base + v with N(v) = mask - u is a subgraph of
+base + v.  Otherwise each free submask mask - u forces the edge v-u: a
+copy of the pattern in base + v that misses v-u is a copy in base + v
+with N(v) = mask - u, which has none.
 So every copy sends to v a pattern vertex of degree at least the number
 f of forced edges.  When f exceeds the pattern's maximum degree the mask
 is free without a matcher call; otherwise one
@@ -111,6 +116,17 @@ level on 8 vertices is the largest a search keeps: the pattern-free one
 holds 12,346 classes in 1.3 MB, the one of `star:7` 11,302 in 1.2 MB,
 and the 45 largest such levels of () and of the 48 patterns
 `parse_pattern` can give one hold 9.1 MB together (CPython 3.11).
+Beside them, `_twin_ordered` keeps the masks of the 4,096 bases extended
+last, keyed by their rows, one `bytes` per base (at ORACLE_CAP every
+mask is below 2^8); the bases without twins, 5,280 of the 12,346 classes
+on 8 vertices, share one `bytes` of all masks.  A full store holds at
+most 1.3 MB, and one cold query at n = 9 extends 1,300 to 2,300 bases
+(measured for 7 patterns of order 8 and 9), so it keeps all of its own.
+Degrees are counted again per query: a store of them saved nothing
+measurable.  Peak RSS with the store (without it): the golden sweep of
+criterion 7d 16.8 MB (16.7-16.8 MB), `turanp oracle --pattern star:7
+--n-range 2:9 --p-range 1:3` 21.6-21.7 MB (20.8-20.9 MB), and a cold
+max_ep(9, star:7, 2) 20.3-20.4 MB (19.5-19.7 MB).
 
 Search counters under `meta`: `graphs_visited` counts the extensions
 examined (one per class and twin-ordered mask; masks skipped for their
@@ -207,24 +223,19 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
     v = k - 1
     maxdeg = 0 if matcher is None else max(matcher.pdeg)
     for base in classes:
-        lower = lower_twins(base)
+        masks = _twin_ordered(base)
         # per mask: 0 kept, _REJECTED contains the pattern, _UNORDERED
-        # holds a vertex without all of its lower twins
-        state = bytearray(1 << v)
-        visited = heredity = hits = 0
-        for mask in range(1 << v):
-            if mask:
-                top = mask.bit_length() - 1
-                below = state[mask ^ 1 << top]
-                if below == _UNORDERED or lower[top] & ~mask:
-                    state[mask] = _UNORDERED
-                    continue
-            visited += 1
+        # holds a vertex without all of its lower twins, so never decided
+        state = bytearray([_UNORDERED]) * (1 << v)
+        heredity = hits = 0
+        for mask in masks:
             if mask and matcher is not None:
                 # a rejected submask mask - u rejects the mask; a free one
                 # forces the edge v-u into every copy of the pattern
-                forced = 1
+                top = mask.bit_length() - 1
                 rest = mask ^ 1 << top
+                below = state[rest]
+                forced = 1
                 while rest and below != _REJECTED:
                     low = rest & -rest
                     rest ^= low
@@ -239,10 +250,33 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
                     state[mask] = _REJECTED
                     hits += 1
                     continue
+            state[mask] = 0
             yield base, mask
-        counts.visited += visited
+        counts.visited += len(masks)
         counts.heredity += heredity
         counts.matcher += hits
+
+
+# room for the bases of more than one cold query at n = 9, each of
+# which extends 1,300 to 2,300 of them (see the module docstring)
+@lru_cache(maxsize=1 << 12)
+def _twin_ordered(base: tuple[int, ...]) -> bytes:
+    """The twin-ordered masks over base's vertices in increasing order:
+    each vertex of a mask comes with all of its lower twins."""
+    lower = lower_twins(base)
+    if not any(lower):
+        return _ALL_MASKS[len(base)]
+    masks = [0]
+    for u, low in enumerate(lower):
+        # the masks holding u come after all masks over vertices below u,
+        # so the list stays increasing
+        masks += [mask | 1 << u for mask in masks if not low & ~mask]
+    return bytes(masks)
+
+
+# every mask of a base with no twins; a base has at most ORACLE_CAP - 1
+# vertices, so each mask fits in a byte
+_ALL_MASKS = tuple(bytes(range(1 << v)) for v in range(ORACLE_CAP))
 
 
 def _rows(base: tuple[int, ...], mask: int) -> list[int]:

@@ -630,3 +630,40 @@ def test_criterion_7f_closed_forms_are_lower_bounds():
         bad.append(f"{compared} closed forms on the golden grid, expected 252")
     report(7, f"criterion 7f: {compared} of {len(ex)} golden entries have a closed "
               "form, and none exceeds the oracle's maximum", bad)
+
+
+def test_criterion_7g_golden_maximizers_carry_certificates():
+    """Every maximizer in the golden table is a checkable certificate: it
+    decodes to n vertices, has e_p equal to the maximum, holds no copy of
+    the pattern by the generic matcher (the route independent of the
+    oracle's anchored matcher), and is edge-maximal, since adding an edge
+    raises e_p.  A matcher that missed copies would freeze a maximizer
+    that holds the pattern or could take one more edge."""
+    bad = []
+    counts = {"entries": 0, "maximizers": 0, "non-edges": 0}
+    for key, entry in json.loads(GOLDEN_ORACLE.read_text())["entries"].items():
+        text, n, p = key.split("|")
+        n, p = int(n.removeprefix("n=")), int(p.removeprefix("p="))
+        edges = patterns.parse_pattern(text).edge_list()
+        counts["entries"] += 1
+        for g6 in entry["maximizers"]:
+            counts["maximizers"] += 1
+            g = g6_decode(g6)
+            if g.n != n or ep_value(g, p) != entry["max_value"]:
+                bad.append(f"{key}: {g6} has n={g.n}, e_p={ep_value(g, p)}")
+                continue
+            if patterns.contains_forest_generic(g, edges) is not False:
+                bad.append(f"{key}: {g6} holds the pattern")
+            for v in range(n):
+                for u in range(v):
+                    if not g.has_edge(u, v):
+                        counts["non-edges"] += 1
+                        if patterns.contains_forest_generic(
+                                g.with_edge(u, v), edges) is not True:
+                            bad.append(f"{key}: {g6} takes the edge {u}-{v}")
+    if counts != {"entries": 312, "maximizers": 350, "non-edges": 3348}:
+        bad.append(f"the certificates covered {counts}")
+    report(7, f"criterion 7g: {counts['maximizers']} maximizers of "
+              f"{counts['entries']} golden entries are pattern-free and "
+              f"edge-maximal by the generic matcher "
+              f"({counts['non-edges']} non-edges)", bad)

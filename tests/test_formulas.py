@@ -33,7 +33,7 @@ from turanp.formulas import (
     lemma_absorb_check,
     lemma_superadd_check,
 )
-from turanp.graphs import disjoint_union, ep_value
+from turanp.graphs import Graph, disjoint_union, ep_value
 from turanp.patterns import (
     BroomPattern,
     LinearForestPattern,
@@ -349,14 +349,16 @@ def test_formula_for_pattern():
     assert isinstance(formula_for_pattern(PathPattern(4), 9, 2), FormulaResult)
 
 
+GRID_TEXTS = ([f"path:{l}" for l in range(2, 8)] + [f"star:{r}" for r in range(1, 5)]
+              + ["stars:2", "stars:1,1", "stars:2,1", "stars:2,2,2,2", "stars:3,3,3",
+                 "linear:3", "linear:2,2", "linear:3,2", "linear:3,3", "linear:3,3,3",
+                 "linear:4,4,4", "linear:5,5,5", "linear:3,3,2,2"]
+              + [f"broom:{l},{s}" for l in range(4, 9) for s in range(4)])
+
+
 def test_formula_for_pattern_grid_never_raises():
-    texts = ([f"path:{l}" for l in range(2, 8)] + [f"star:{r}" for r in range(1, 5)]
-             + ["stars:2", "stars:1,1", "stars:2,1", "stars:2,2,2,2", "stars:3,3,3",
-                "linear:3", "linear:2,2", "linear:3,2", "linear:3,3", "linear:3,3,3",
-                "linear:4,4,4", "linear:5,5,5", "linear:3,3,2,2"]
-             + [f"broom:{l},{s}" for l in range(4, 9) for s in range(4)])
     nones = set()
-    for text in texts:
+    for text in GRID_TEXTS:
         pat = parse_pattern(text)
         for n in range(40):
             for p in range(1, 5):
@@ -382,3 +384,40 @@ def test_formula_for_pattern_grid_never_raises():
     # an evaluator's ValueError is no longer read as "no formula"
     with pytest.raises(ValueError):
         formula_for_pattern(PathPattern(4), 9, 0)
+
+
+def clique_union_ep(n, size, p):
+    """e_p of floor(n/size) K_size plus K_(n mod size)."""
+    q, r = divmod(n, size)
+    return q * size * (size - 1) ** p + r * (r - 1) ** p
+
+
+def test_clique_union_ep_hand_worked():
+    assert clique_union_ep(13, 5, 2) == 172  # the B_{4,2}-free 2K_5 u K_3
+    for n in range(1, 12):
+        for size in range(1, 6):
+            g = complete_graph(n % size)
+            for _ in range(n // size):
+                g = disjoint_union(g, complete_graph(size))
+            assert clique_union_ep(n, size, 3) == ep_value(g, 3), (n, size)
+
+
+def test_in_window_values_beat_the_clique_union_witness():
+    # a graph whose components all have fewer vertices than the pattern's
+    # largest component (c vertices) holds no copy of it, so an in-window
+    # value, a claim of ex_p itself, is at least e_p of the densest such
+    # union of cliques K_{c-1}
+    compared, bad = 0, []
+    for text in GRID_TEXTS:
+        pat = parse_pattern(text)
+        comps = Graph.from_edges(pat.order(), pat.edge_list()).components()
+        size = max(comp.bit_count() for comp in comps) - 1
+        for n in range(2, 1001):
+            for p in range(1, 5):
+                res = formula_for_pattern(pat, n, p)
+                if res is not None and res.in_window:
+                    compared += 1
+                    if res.value < clique_union_ep(n, size, p):
+                        bad.append((text, n, p))
+    assert not bad, bad[:5]
+    assert compared == 63387

@@ -8,9 +8,21 @@ from pathlib import Path
 import pytest
 
 from turanp import oracle
-from turanp.families import complete_graph, matching_graph, star_graph
+from turanp.families import (
+    complete_graph,
+    empty_graph,
+    matching_graph,
+    star_graph,
+)
 from turanp.formulas import ex_path, exp_path
-from turanp.graphs import Graph, canonical_code, g6_decode
+from turanp.graphs import (
+    Graph,
+    canonical_code,
+    disjoint_union,
+    g6_decode,
+    iter_bits,
+    lower_twins,
+)
 from turanp.oracle import (
     _classes,
     _Counts,
@@ -19,6 +31,7 @@ from turanp.oracle import (
     _levels,
     _new_vertex_largest,
     _rows,
+    _twin_ordered,
     max_ep,
     nonisomorphic_graphs,
 )
@@ -192,8 +205,10 @@ def test_pattern_free_class_counts(spec, count):
 
 
 def clear_levels():
-    """Empty the level cache, pattern-free and pattern levels alike."""
+    """Empty the level cache, pattern-free and pattern levels alike, and
+    the bases' twin-ordered masks."""
     _levels.cache_clear()
+    _twin_ordered.cache_clear()
 
 
 @pytest.fixture
@@ -466,13 +481,13 @@ def test_import_builds_no_levels():
     src = str(Path(oracle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import sys, turanp\n"
-            "for cache in ('_levels', '_matcher'):\n"
+            "for cache in ('_levels', '_matcher', '_twin_ordered'):\n"
             "    print(getattr(turanp.oracle, cache).cache_info().currsize)\n"
             "print('turanp.verify' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "0\n0\nFalse\n"
+    assert proc.stdout == "0\n0\n0\nFalse\n"
 
 
 def max_ep_unbounded(n, pattern, p):
@@ -601,6 +616,28 @@ def test_extensions_keep_one_mask_per_twin_orbit():
         counts = _Counts()
         assert sum(1 for _ in _extensions(bases, k, None, counts)) == want, k
         assert counts.visited == want and counts.pruned == 0
+
+
+def twin_ordered_by_scan(base):
+    """Reference for _twin_ordered: every mask over base's vertices whose
+    vertices all come with their lower twins."""
+    lower = lower_twins(base)
+    return bytes(mask for mask in range(1 << len(base))
+                 if all(not lower[u] & ~mask for u in iter_bits(mask)))
+
+
+def test_twin_ordered_masks_match_a_scan(cold_levels):
+    # every class on up to 7 vertices, and twin-rich bases up to the 8
+    # vertices of the largest base at ORACLE_CAP
+    graphs = [g for k in range(8) for g in nonisomorphic_graphs(k)]
+    for k in range(1, oracle.ORACLE_CAP):
+        graphs += [empty_graph(k), complete_graph(k), star_graph(k - 1)]
+        graphs += [disjoint_union(complete_graph(a), complete_graph(k - a))
+                   for a in range(1, k)]
+    for g in graphs:
+        assert _twin_ordered(g.rows) == twin_ordered_by_scan(g.rows), g
+    assert _twin_ordered(empty_graph(8).rows) == bytes([0, 1, 3, 7, 15, 31,
+                                                        63, 127, 255])
 
 
 def test_all_graphs_count():
