@@ -430,7 +430,10 @@ def formula_for_pattern(pattern: ForestPattern, n: int, p: int) -> FormulaResult
     """Best matching closed form for max e_p over pattern-free graphs on n
     vertices (p = 1 routes to twice the classical Turan number).  Returns
     None where no closed form applies or n is below the evaluator's domain
-    (BelowDomain); any other ValueError from an evaluator is a bug."""
+    (BelowDomain); any other ValueError from an evaluator is a bug.
+    Raises TypeError when p is not an int (a bool included)."""
+    if type(p) is not int:
+        raise TypeError(f"p must be an int, got {type(p).__name__}")
     try:
         return _formula(pattern, n, p)
     except BelowDomain:

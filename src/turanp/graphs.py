@@ -224,7 +224,10 @@ class Graph:
 # ---------------------------------------------------------------------
 
 def ep_value(g: Graph, p: int) -> int:
-    """Sum of the p-th powers of all vertex degrees, exactly."""
+    """Sum of the p-th powers of all vertex degrees, exactly; p must be an
+    int (not a bool), since a float power is inexact."""
+    if type(p) is not int:
+        raise TypeError(f"p must be an int, got {type(p).__name__}")
     if p < 1:
         raise ValueError("p must be >= 1")
     return sum(row.bit_count() ** p for row in g.rows)

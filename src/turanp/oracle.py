@@ -37,8 +37,10 @@ f of forced edges.  When f exceeds the pattern's maximum degree the mask
 is free without a matcher call; otherwise one
 `AnchoredMatcher.contains_through` call through the highest edge, told
 f, decides, skipping the plans whose vertex on v has a smaller degree.
-The rows of an extension are built only for that call and for the
-extensions a caller keeps.
+The matcher reads one rows list per base, built once as the base plus an
+isolated v and moved to each mask it is called on by flipping bit v in
+the rows of the vertices where that mask differs from the last one; new
+rows are built only for the extensions a caller keeps.
 
 The last level needs no deduplication.  Each extension's e_p is computed
 from its base: the base's e_p, plus what the mask adds at the base's
@@ -122,11 +124,13 @@ mask is below 2^8); the bases without twins, 5,280 of the 12,346 classes
 on 8 vertices, share one `bytes` of all masks.  A full store holds at
 most 1.3 MB, and one cold query at n = 9 extends 1,300 to 2,300 bases
 (measured for 7 patterns of order 8 and 9), so it keeps all of its own.
-Degrees are counted again per query: a store of them saved nothing
-measurable.  Peak RSS with the store (without it): the golden sweep of
-criterion 7d 16.8 MB (16.7-16.8 MB), `turanp oracle --pattern star:7
---n-range 2:9 --p-range 1:3` 21.6-21.7 MB (20.8-20.9 MB), and a cold
-max_ep(9, star:7, 2) 20.3-20.4 MB (19.5-19.7 MB).
+The last level counts its bases' degrees again per query, and each
+matcher call counts the two anchors' degrees and a candidate's only when
+it pops it: a store of base degrees saved nothing measurable.  Peak RSS
+with the store (without it): the golden sweep of criterion 7d 16.8 MB
+(16.7-16.8 MB), `turanp oracle --pattern star:7 --n-range 2:9 --p-range
+1:3` 21.6-21.7 MB (20.8-20.9 MB), and a cold max_ep(9, star:7, 2)
+20.3-20.4 MB (19.5-19.7 MB).
 
 Search counters under `meta`: `graphs_visited` counts the extensions
 examined (one per class and twin-ordered mask; masks skipped for their
@@ -221,6 +225,7 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
     (every twin-ordered extension when matcher is None), masks of one base
     in increasing order."""
     v = k - 1
+    bit = 1 << v
     maxdeg = 0 if matcher is None else max(matcher.pdeg)
     for base in classes:
         masks = _twin_ordered(base)
@@ -228,6 +233,10 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
         # holds a vertex without all of its lower twins, so never decided
         state = bytearray([_UNORDERED]) * (1 << v)
         heredity = hits = 0
+        # the rows of base + v with N(v) = rows[v], the mask of the last
+        # matcher call, moved to each next mask by flipping bit v where
+        # the two masks differ
+        rows = [*base, 0]
         for mask in masks:
             if mask and matcher is not None:
                 # a rejected submask mask - u rejects the mask; a free one
@@ -245,11 +254,17 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
                     state[mask] = _REJECTED
                     heredity += 1
                     continue
-                if forced <= maxdeg and matcher.contains_through(
-                        k, _rows(base, mask), v, top, forced):
-                    state[mask] = _REJECTED
-                    hits += 1
-                    continue
+                if forced <= maxdeg:
+                    diff = mask ^ rows[v]
+                    while diff:
+                        low = diff & -diff
+                        diff ^= low
+                        rows[low.bit_length() - 1] ^= bit
+                    rows[v] = mask
+                    if matcher.contains_through(k, rows, v, top, forced):
+                        state[mask] = _REJECTED
+                        hits += 1
+                        continue
             state[mask] = 0
             yield base, mask
         counts.visited += len(masks)
@@ -361,12 +376,15 @@ def _classes(k: int, matcher: AnchoredMatcher | None,
 def max_ep(n: int, pattern: ForestPattern, p: int, *,
            threads: int | None = None) -> OracleReport:
     """Exact maximum of e_p over all pattern-free graphs on n vertices,
-    with all maximizers up to isomorphism.
+    with all maximizers up to isomorphism.  p must be an int (not a bool);
+    a float power would make the answer inexact.
 
     ``threads`` is accepted for compatibility and has no effect: it must be
     None or >= 1, and the search always runs on one thread."""
     if not 2 <= n <= ORACLE_CAP:
         raise ValueError(f"oracle handles 2 <= n <= {ORACLE_CAP}, got n={n}")
+    if type(p) is not int:
+        raise TypeError(f"p must be an int, got {type(p).__name__}")
     if p < 1:
         raise ValueError("need p >= 1")
     if threads is not None and threads < 1:

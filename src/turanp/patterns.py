@@ -570,7 +570,13 @@ class AnchoredMatcher:
     and v': an isomorphism of the two components then carries one edge
     onto the other, and if the components differ, swapping them fixes the
     rest of the forest.  So the pair of rooted-tree codes keys the orbit:
-    `stars:3,3,3` has 18 directed edges in 2 orbits, `path:6` 10 in 5."""
+    `stars:3,3,3` has 18 directed edges in 2 orbits, `path:6` 10 in 5.
+
+    `contains_through` reads the host's rows only during the call and
+    never keeps them, so a caller may change its rows list between calls.
+    The call works in three scratch lists that the matcher owns, so it is
+    not re-entrant: no two calls on one matcher may overlap (the oracle
+    makes them one at a time, on one thread)."""
 
     def __init__(self, edges: list[tuple[int, int]]):
         self.edges = tuple(tuple(e) for e in edges)
@@ -590,6 +596,10 @@ class AnchoredMatcher:
                     order = [(w, par, self.pdeg[w])
                              for w, par in _embedding_order(padj, (pu, pv))]
                     self.plans.append((pu, pv, order))
+        # scratch for contains_through, rewritten before every read
+        self._nbrs = [0] * (self.pn + 1)
+        self._picked = [0] * self.pn
+        self._cands = [0] * self.pn
 
     def _rooted_code(self, root: int, away: int) -> str:
         """AHU (Aho-Hopcroft-Ullman) code of the tree on root's side of the
@@ -607,14 +617,16 @@ class AnchoredMatcher:
         if self.pn > n:
             return False
         pdeg = self.pdeg
-        deg = [row.bit_count() for row in rows]
+        dega = rows[a].bit_count()
+        degb = rows[b].bit_count()
         # nbrs[w]: the host row of pattern vertex w's image; nbrs[-1] holds
         # every host vertex, the candidates of a component root (parent -1)
-        nbrs = [0] * self.pn + [(1 << n) - 1]
-        picked = [0] * self.pn
-        cands = [0] * self.pn
+        nbrs = self._nbrs
+        nbrs[-1] = (1 << n) - 1
+        picked = self._picked
+        cands = self._cands
         for pu, pv, order in self.plans:
-            if pdeg[pu] < need or deg[a] < pdeg[pu] or deg[b] < pdeg[pv]:
+            if pdeg[pu] < need or dega < pdeg[pu] or degb < pdeg[pv]:
                 continue
             if not order:
                 return True
@@ -634,13 +646,13 @@ class AnchoredMatcher:
                 if c:
                     low = c & -c
                     cands[i] = c ^ low
-                    hv = low.bit_length() - 1
+                    row = rows[low.bit_length() - 1]
                     w, _, d = order[i]
-                    if deg[hv] < d:
+                    if row.bit_count() < d:
                         continue
                     if i == last:
                         return True
-                    nbrs[w] = rows[hv]
+                    nbrs[w] = row
                     picked[i] = low
                     used |= low
                     i += 1

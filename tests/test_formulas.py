@@ -386,6 +386,13 @@ def test_formula_for_pattern_grid_never_raises():
         formula_for_pattern(PathPattern(4), 9, 0)
 
 
+@pytest.mark.parametrize("p", [2.5, 2.0, True])
+def test_formula_for_pattern_rejects_a_p_that_is_not_an_int(p):
+    # a float power is inexact (path:4 at n = 10 and p = 2.5 gave 252.0)
+    with pytest.raises(TypeError, match="p must be an int"):
+        formula_for_pattern(PathPattern(4), 10, p)
+
+
 def clique_union_ep(n, size, p):
     """e_p of floor(n/size) K_size plus K_(n mod size)."""
     q, r = divmod(n, size)

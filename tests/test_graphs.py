@@ -172,6 +172,13 @@ def test_ep_value_examples():
     assert ep_value(h_path(10, 5), 2) == 96
 
 
+@pytest.mark.parametrize("p", [2.5, 2.0, True])
+def test_ep_value_rejects_a_p_that_is_not_an_int(p):
+    # a float power is inexact (P_3 at 2.5 gave 7.656854249492381)
+    with pytest.raises(TypeError, match="p must be an int"):
+        ep_value(Graph.from_edges(3, [(0, 1), (1, 2)]), p)
+
+
 def test_degree_sequence_examples():
     assert degree_sequence(complete_graph(3)) == (2, 2, 2)
     assert degree_sequence(matching_graph(5)) == (1, 1, 1, 1, 0)

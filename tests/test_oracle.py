@@ -146,6 +146,13 @@ def test_determinism_and_threads_accepted():
         max_ep(6, PathPattern(4), 2, threads=0)
 
 
+@pytest.mark.parametrize("p", [2.5, 2.0, True])
+def test_max_ep_rejects_a_p_that_is_not_an_int(p):
+    # a float power is inexact (path:4 at n = 5 and p = 2.5 gave 36.0)
+    with pytest.raises(TypeError, match="p must be an int"):
+        max_ep(5, PathPattern(4), p)
+
+
 def test_oracle_cap():
     assert oracle.ORACLE_CAP == 9
     assert _levels.cache_parameters()["maxsize"] == 5 * oracle.ORACLE_CAP
@@ -381,6 +388,34 @@ def test_matcher_never_called_below_pattern_order(monkeypatch, spec):
     for n in range(2, 9):
         max_ep(n, pattern, 2)
     assert hosts and min(hosts) == pattern.order()
+
+
+@pytest.mark.parametrize("spec", CLASS_COUNTS)
+def test_matcher_sees_exactly_the_extension(monkeypatch, cold_levels, spec):
+    # _extensions moves one rows list per base from mask to mask: each
+    # rows list the matcher gets must be a valid graph whose last row is
+    # its new vertex's column, and a base of the level below plus that
+    # vertex, so a stale bit fails here even where the answer is unchanged
+    pattern = parse_pattern(spec)
+    matcher = AnchoredMatcher(pattern.edge_list())
+    hosts = []
+    real = AnchoredMatcher.contains_through
+
+    def spy(self, n, rows, *args):
+        hosts.append((n, list(rows)))
+        return real(self, n, rows, *args)
+
+    monkeypatch.setattr(AnchoredMatcher, "contains_through", spy)
+    for n in range(2, 9):
+        max_ep(n, pattern, 2)
+    assert hosts
+    bases = {v: set(_classes(v, matcher, _Counts()))
+             for v in {n - 1 for n, _ in hosts}}
+    for n, rows in hosts:
+        Graph(n, tuple(rows))
+        v = n - 1
+        assert rows[v] == sum((row >> v & 1) << u for u, row in enumerate(rows))
+        assert tuple(row & ~(1 << v) for row in rows[:v]) in bases[v], (n, rows)
 
 
 @pytest.mark.parametrize("spec", [*CLASS_COUNTS, "path:2", "star:1",

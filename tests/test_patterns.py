@@ -332,6 +332,40 @@ def test_anchored_matcher_is_exact():
                          for got in (True, False)}
 
 
+def test_anchored_matcher_keeps_no_state_between_calls():
+    # contains_through reuses its scratch lists: interleave two matchers
+    # on one rows list that the caller changes in place between calls, as
+    # the oracle does, and check each answer against a fresh matcher on a
+    # fresh copy of the rows
+    rng = random.Random(41)
+    for texts in (("linear:3,2", "star:3"), ("stars:2,2", "broom:5,1"),
+                  ("path:5", "linear:2,2,2")):
+        pats = [parse_pattern(t).edge_list() for t in texts]
+        matchers = [AnchoredMatcher(edges) for edges in pats]
+        seen = set()
+        rows = []
+        for _ in range(30):
+            n = rng.randint(max(m.pn for m in matchers), 8)
+            rows[:] = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7])).rows
+            for _ in range(4):
+                x, y = rng.sample(range(n), 2)
+                rows[x] ^= 1 << y
+                rows[y] ^= 1 << x
+                host_edges = [(a, b) for a in range(n) for b in iter_bits(rows[a])]
+                if not host_edges:
+                    continue
+                a, b = rng.choice(host_edges)
+                for need in (1, 2, 3):
+                    for edges, matcher in zip(pats, matchers):
+                        got = matcher.contains_through(n, rows, a, b, need)
+                        want = AnchoredMatcher(edges).contains_through(
+                            n, list(rows), a, b, need)
+                        assert got == want, (texts, edges, rows, a, b, need)
+                        seen.add((tuple(edges), got))
+        assert seen == {(tuple(edges), got) for edges in pats
+                        for got in (True, False)}, texts
+
+
 def _edge_orbits(edges, pn):
     """Orbits of the directed pattern edges under the pattern's
     automorphisms, found by trying every vertex permutation."""
