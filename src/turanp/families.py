@@ -6,6 +6,7 @@ parameters whose graph would exceed the vertex cap.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphCapError, VERTEX_CAP, disjoint_union, join
@@ -207,21 +208,22 @@ class FamilySpec:
         return f"{self.tag}:{items}"
 
 
-_FAMILIES: dict[str, tuple[tuple[str, ...], object]] = {
-    "complete": (("t",), lambda p: complete_graph(p["t"])),
-    "empty": (("t",), lambda p: empty_graph(p["t"])),
-    "path": (("t",), lambda p: path_graph(p["t"])),
-    "star": (("r",), lambda p: star_graph(p["r"])),
-    "matching": (("t",), lambda p: matching_graph(p["t"])),
-    "turan": (("n", "r"), lambda p: turan_graph(p["n"], p["r"])),
-    "friendship": (("n",), lambda p: friendship_graph(p["n"])),
-    "broom": (("ell", "s"), lambda p: broom_graph(p["ell"], p["s"])),
-    "near-regular": (("n", "d"), lambda p: near_regular(p["n"], p["d"])),
-    "h-path": (("n", "ell"), lambda p: h_path(p["n"], p["ell"])),
-    "h-forest": (("n", "lengths"), lambda p: h_linear_forest(p["n"], p["lengths"])),
-    "g-star": (("n", "i", "r"), lambda p: g_star_join(p["n"], p["i"], p["r"])),
-    "k-matching": (("n", "k"), lambda p: k_join_matching(p["n"], p["k"])),
-    "unbalanced": (("n",), lambda p: unbalanced_bipartite(p["n"])),
+# each builder's parameters are the family's parameters, in order
+_FAMILIES = {
+    "complete": complete_graph,
+    "empty": empty_graph,
+    "path": path_graph,
+    "star": star_graph,
+    "matching": matching_graph,
+    "turan": turan_graph,
+    "friendship": friendship_graph,
+    "broom": broom_graph,
+    "near-regular": near_regular,
+    "h-path": h_path,
+    "h-forest": h_linear_forest,
+    "g-star": g_star_join,
+    "k-matching": k_join_matching,
+    "unbalanced": unbalanced_bipartite,
 }
 
 
@@ -233,7 +235,7 @@ def parse_family(text: str) -> FamilySpec:
     if tag not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {tag!r} (known: {known})")
-    wanted, _ = _FAMILIES[tag]
+    wanted = inspect.signature(_FAMILIES[tag]).parameters
     params: dict[str, object] = {}
     if sep and rest.strip():
         for item in rest.split(","):
@@ -259,8 +261,7 @@ def parse_family(text: str) -> FamilySpec:
 def build_family(spec: FamilySpec | str) -> Graph:
     if isinstance(spec, str):
         spec = parse_family(spec)
-    _, builder = _FAMILIES[spec.tag]
-    return builder(spec.params)
+    return _FAMILIES[spec.tag](**spec.params)
 
 
 def clique_union(a: int, clique: int, b: int) -> Graph:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+from .graphs import check_power
 from .patterns import (
     BroomPattern,
     ForestPattern,
@@ -87,8 +88,10 @@ class BelowDomain(ValueError):
 
 
 def _need_vertices(n: int, order: int = 0, host: str = "") -> None:
-    """Reject a negative vertex count, for which no graph exists, and an n
-    below the order of the host graph whose value is asked for."""
+    """Reject an n that is not an int (a bool included) or negative, and
+    an n below ``order``, where the graph or the result ``host`` starts."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     if n < order:
@@ -102,7 +105,8 @@ def _need_vertices(n: int, order: int = 0, host: str = "") -> None:
 def ex_path(n: int, ell: int) -> FormulaResult:
     """ex(n, P_ell) = a*C(ell-1,2) + C(b,2) with n = a(ell-1)+b,
     0 <= b < ell-1.  Exact for every n."""
-    if ell < 2 or n < 0:
+    _need_vertices(n)
+    if ell < 2:
         raise ValueError("need ell >= 2 and n >= 0")
     a, b = divmod(n, ell - 1)
     value = a * comb(ell - 1, 2) + comb(b, 2)
@@ -112,7 +116,8 @@ def ex_path(n: int, ell: int) -> FormulaResult:
 
 def eg_bound(n: int, ell: int) -> int:
     """Upper bound ex(n, P_ell) <= (ell/2 - 1) n, floored."""
-    if ell < 2 or n < 0:
+    _need_vertices(n)
+    if ell < 2:
         raise ValueError("need ell >= 2 and n >= 0")
     return n * (ell - 2) // 2
 
@@ -185,8 +190,7 @@ def ex_broom4(n: int, s: int) -> FormulaResult:
     """ex(n, B_{4,s}) for s >= 1, n >= s+4 (exact in that range)."""
     if s < 1:
         raise ValueError("need s >= 1 (B_{4,0} is P_4: use ex_path)")
-    if n < s + 4:
-        raise BelowDomain(f"need n >= s+4 = {s + 4}")
+    _need_vertices(n, s + 4, "ex(n, B_{4,s})")
     a, b = divmod(n, s + 3)
     if s >= 3 and 2 <= b <= s:
         value = (a - 1) * comb(s + 3, 2) + (s + 1) * (s + 3 + b) // 2
@@ -204,8 +208,7 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
     (a-1)*C(s+4,2) + ex(s+4+b, B_{5,s}) is known, returned structurally."""
     if s < 1:
         raise ValueError("need s >= 1 (B_{5,0} is P_5: use ex_path)")
-    if n < s + 5:
-        raise BelowDomain(f"need n >= s+5 = {s + 5}")
+    _need_vertices(n, s + 5, "ex(n, B_{5,s})")
     a, b = divmod(n, s + 4)
     window = f"n >= s+5 = {s + 5}"
     if 1 <= b <= s:
@@ -222,6 +225,7 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
 
 def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
     """e_p(H(n,F)) straight from the degree multiset of H(n,F)."""
+    check_power(p)
     _need_vertices(n, sum(lengths), "H(n,F)")
     b = sum(l // 2 for l in lengths) - 1
     if all(l % 2 == 1 for l in lengths):
@@ -231,6 +235,7 @@ def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
 
 def ep_k_join_matching_value(n: int, k: int, p: int) -> int:
     """e_p(K_{k-1} + M_{n-k+1}) from its degree multiset."""
+    check_power(p)
     _need_vertices(n, k, "K_{k-1}+M_{n-k+1}")
     m = n - k + 1
     return ((k - 1) * (n - 1) ** p + 2 * (m // 2) * k ** p
@@ -243,14 +248,11 @@ def exp_path(n: int, ell: int, p: int) -> FormulaResult:
     if ell < 2:
         raise ValueError("need ell >= 2")
     _need_vertices(n)
+    check_power(p, 1 if ell <= 3 else 2)
     if ell <= 3:
-        if p < 1:
-            raise ValueError("need p >= 1")
         # P_2 = S_1 and P_3 = S_2
         value = exp_star(n, ell - 1, p).value
         return FormulaResult(value, True, "all n", "caro-yuster-2000")
-    if p < 2:
-        raise ValueError("need p >= 2 for ell >= 4")
     value = ep_h_linear_forest_value(n, [ell], p)
     return FormulaResult(value, False, _UNSPECIFIED, "caro-yuster-2000",
                          {"b": ell // 2 - 1})
@@ -258,7 +260,8 @@ def exp_path(n: int, ell: int, p: int) -> FormulaResult:
 
 def exp_star(n: int, r: int, p: int) -> FormulaResult:
     """ex_p(n, S_r), exact for every n and p >= 1."""
-    if r < 1 or p < 1:
+    check_power(p)
+    if r < 1:
         raise ValueError("need r >= 1 and p >= 1")
     _need_vertices(n)
     if n <= r - 1:
@@ -278,10 +281,11 @@ def exp_star_forest(n: int, degrees, p: int) -> FormulaResult:
     large n.  "One of r_k-1 and n-k+1 is even" reads inclusively (both
     even included); the formula below is exactly the degree multiset of
     K_{k-1} + near-(r_k - 1)-regular."""
+    check_power(p, 2)
     degrees = sorted(degrees, reverse=True)
     if len(degrees) < 2:
         raise ValueError("need k >= 2 stars (use exp_star for one star)")
-    if any(r < 1 for r in degrees) or p < 2:
+    if any(r < 1 for r in degrees):
         raise ValueError("need star degrees >= 1 and p >= 2")
     k = len(degrees)
     rk = degrees[-1]
@@ -298,10 +302,11 @@ def exp_star_forest(n: int, degrees, p: int) -> FormulaResult:
 def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
     """ex_p(n, F) = e_p(H(n,F)) for a linear forest F with k >= 2
     components, not all P_3, and sufficiently large n."""
+    check_power(p, 2)
     lengths = sorted(lengths, reverse=True)
     if len(lengths) < 2:
         raise ValueError("need k >= 2 paths (use exp_path for one path)")
-    if any(l < 2 for l in lengths) or p < 2:
+    if any(l < 2 for l in lengths):
         raise ValueError("need path orders >= 2 and p >= 2")
     if all(l == 3 for l in lengths):
         raise ValueError("all components are P_3: use exp_kP3")
@@ -313,7 +318,8 @@ def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
 
 def exp_kP3(n: int, k: int, p: int) -> FormulaResult:
     """ex_p(n, kP_3) = e_p(K_{k-1} + M_{n-k+1}) for sufficiently large n."""
-    if k < 2 or p < 2:
+    check_power(p, 2)
+    if k < 2:
         raise ValueError("need k >= 2 and p >= 2 (use exp_path for P_3)")
     value = ep_k_join_matching_value(n, k, p)
     return FormulaResult(value, False, _UNSPECIFIED, "kp3-degree-power-corollary")
@@ -331,9 +337,10 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
     ell=6: e_p(H(n,6)), window n > (2s+12)^2.
     ell=7: e_p(H(n,7)), window n > (3s+31)^2.
     B_{ell,0} = P_ell, so s=0 values coincide with exp_path."""
+    check_power(p, 2)
     if ell not in (4, 5, 6, 7):
         raise ValueError("broom closed forms cover ell in {4,5,6,7}")
-    if s < 0 or p < 2:
+    if s < 0:
         raise ValueError("need s >= 0 and p >= 2")
     _need_vertices(n)
     if ell == 4:
@@ -364,7 +371,9 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
 def exp_turan_clique(n: int, r: int, p: int) -> FormulaResult:
     """e_p(T_r(n)); equals ex_p(n, K_{r+1}) for p in {1,2,3} (for p >= 4
     unbalanced complete bipartite graphs can beat the Turan graph)."""
-    if r < 1 or p < 1 or n < 0:
+    _need_vertices(n)
+    check_power(p)
+    if r < 1:
         raise ValueError("need r >= 1, p >= 1, n >= 0")
     q, rem = divmod(n, r)
     sizes = [q + 1] * rem + [q] * (r - rem)
@@ -394,8 +403,9 @@ def lemma_superadd_check(ell: int, n1: int, n2: int, p: int,
     """Strict superadditivity of the broom extremal values:
     e_p(X(n1)) + e_p(X(n2)) < e_p(X(n1+n2)) where X is K_1+M_{n-1}
     (variant "a", ell=5) or H(n,ell) (variant "b", ell >= 5)."""
+    check_power(p, 2)
     ep_host = _lemma_host(ell, variant)
-    if p < 2 or ell < 5 or min(n1, n2) < ell:
+    if ell < 5 or min(n1, n2) < ell:
         raise ValueError("need p >= 2 and n1, n2 >= ell >= 5")
     return ep_host(n1, p) + ep_host(n2, p) < ep_host(n1 + n2, p)
 
@@ -406,8 +416,9 @@ def lemma_absorb_check(ell: int, s: int, h: int, hstar: int, d: int, p: int,
     (ell+s+d)^2, h >= ell, and any graph G* on hstar vertices with
     max degree <= d (so e_p(G*) <= hstar * d**p, the worst case checked
     here), e_p(X(h)) + e_p(G*) < e_p(X(n))."""
+    check_power(p, 2)
     ep_host = _lemma_host(ell, variant)
-    if p < 2 or ell < 5 or s < 0 or d < 0:
+    if ell < 5 or s < 0 or d < 0:
         raise ValueError("need p >= 2, ell >= 5, s >= 0, d >= 0")
     n = h + hstar
     if hstar <= 0 or h < ell:
@@ -430,10 +441,10 @@ def formula_for_pattern(pattern: ForestPattern, n: int, p: int) -> FormulaResult
     """Best matching closed form for max e_p over pattern-free graphs on n
     vertices (p = 1 routes to twice the classical Turan number).  Returns
     None where no closed form applies or n is below the evaluator's domain
-    (BelowDomain); any other ValueError from an evaluator is a bug.
-    Raises TypeError when p is not an int (a bool included)."""
-    if type(p) is not int:
-        raise TypeError(f"p must be an int, got {type(p).__name__}")
+    (BelowDomain); any other ValueError from an evaluator is a bug.  p
+    and n pass ``check_power`` and ``_need_vertices`` first."""
+    check_power(p)
+    _need_vertices(n)
     try:
         return _formula(pattern, n, p)
     except BelowDomain:

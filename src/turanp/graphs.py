@@ -136,17 +136,6 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency at ({v}, {w})")
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
-        """Wrap rows already known to form a valid graph, skipping the
-        checks of ``__post_init__`` (about 2 us at n = 7 and 10 us at
-        n = 64).  Internal only: every caller must build its rows from a
-        valid graph."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", rows)
-        return g
-
     @staticmethod
     def empty(n: int) -> "Graph":
         return Graph(n, (0,) * n)
@@ -223,13 +212,18 @@ class Graph:
 # degree-power arithmetic
 # ---------------------------------------------------------------------
 
-def ep_value(g: Graph, p: int) -> int:
-    """Sum of the p-th powers of all vertex degrees, exactly; p must be an
-    int (not a bool), since a float power is inexact."""
+def check_power(p: int, least: int = 1) -> None:
+    """The one test of a power p: an int (not a bool, and not a float,
+    whose power is inexact) of at least ``least``."""
     if type(p) is not int:
         raise TypeError(f"p must be an int, got {type(p).__name__}")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if p < least:
+        raise ValueError(f"need p >= {least}")
+
+
+def ep_value(g: Graph, p: int) -> int:
+    """Sum of the p-th powers of all vertex degrees, exactly."""
+    check_power(p)
     return sum(row.bit_count() ** p for row in g.rows)
 
 

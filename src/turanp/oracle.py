@@ -120,10 +120,9 @@ and the 45 largest such levels of () and of the 48 patterns
 `parse_pattern` can give one hold 9.1 MB together (CPython 3.11).
 Beside them, `_twin_ordered` keeps the masks of the 4,096 bases extended
 last, keyed by their rows, one `bytes` per base (at ORACLE_CAP every
-mask is below 2^8); the bases without twins, 5,280 of the 12,346 classes
-on 8 vertices, share one `bytes` of all masks.  A full store holds at
-most 1.3 MB, and one cold query at n = 9 extends 1,300 to 2,300 bases
-(measured for 7 patterns of order 8 and 9), so it keeps all of its own.
+mask is below 2^8).  A full store holds at most 1.3 MB, and one cold
+query at n = 9 extends 1,300 to 2,300 bases (measured for 7 patterns of
+order 8 and 9), so it keeps all of its own.
 The last level counts its bases' degrees again per query, and each
 matcher call counts the two anchors' degrees and a candidate's only when
 it pops it: a store of base degrees saved nothing measurable.  Peak RSS
@@ -150,6 +149,7 @@ from typing import Iterator
 from .graphs import (
     Graph,
     canonical_code,
+    check_power,
     g6_from_code,
     iter_bits,
     lower_twins,
@@ -278,20 +278,12 @@ def _extensions(classes: list[tuple[int, ...]], k: int,
 def _twin_ordered(base: tuple[int, ...]) -> bytes:
     """The twin-ordered masks over base's vertices in increasing order:
     each vertex of a mask comes with all of its lower twins."""
-    lower = lower_twins(base)
-    if not any(lower):
-        return _ALL_MASKS[len(base)]
     masks = [0]
-    for u, low in enumerate(lower):
+    for u, low in enumerate(lower_twins(base)):
         # the masks holding u come after all masks over vertices below u,
         # so the list stays increasing
         masks += [mask | 1 << u for mask in masks if not low & ~mask]
     return bytes(masks)
-
-
-# every mask of a base with no twins; a base has at most ORACLE_CAP - 1
-# vertices, so each mask fits in a byte
-_ALL_MASKS = tuple(bytes(range(1 << v)) for v in range(ORACLE_CAP))
 
 
 def _rows(base: tuple[int, ...], mask: int) -> list[int]:
@@ -329,7 +321,7 @@ def _level(classes: list[tuple[int, ...]], k: int,
     for base, mask in _extensions(classes, k, matcher, counts):
         rows = _rows(base, mask)
         if _new_vertex_largest(rows):
-            g = Graph._trusted(k, tuple(rows))
+            g = Graph(k, tuple(rows))
             code = canonical_code(g)
             if code not in codes:
                 codes.add(code)
@@ -376,17 +368,14 @@ def _classes(k: int, matcher: AnchoredMatcher | None,
 def max_ep(n: int, pattern: ForestPattern, p: int, *,
            threads: int | None = None) -> OracleReport:
     """Exact maximum of e_p over all pattern-free graphs on n vertices,
-    with all maximizers up to isomorphism.  p must be an int (not a bool);
-    a float power would make the answer inexact.
+    with all maximizers up to isomorphism, for a power p as
+    ``check_power`` takes it.
 
     ``threads`` is accepted for compatibility and has no effect: it must be
     None or >= 1, and the search always runs on one thread."""
     if not 2 <= n <= ORACLE_CAP:
         raise ValueError(f"oracle handles 2 <= n <= {ORACLE_CAP}, got n={n}")
-    if type(p) is not int:
-        raise TypeError(f"p must be an int, got {type(p).__name__}")
-    if p < 1:
-        raise ValueError("need p >= 1")
+    check_power(p)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be None or >= 1, got {threads}")
     counts = _Counts()
@@ -433,7 +422,7 @@ def max_ep(n: int, pattern: ForestPattern, p: int, *,
                 rows = _rows(base, mask)
                 if _new_vertex_largest(rows):
                     tied.append(rows)
-    codes = {canonical_code(Graph._trusted(n, tuple(rows))) for rows in tied}
+    codes = {canonical_code(Graph(n, tuple(rows))) for rows in tied}
     maximizers = tuple(sorted((g6_from_code(code), code.hex())
                               for code in codes))
     return OracleReport(n, p, pattern.text(), best, maximizers,

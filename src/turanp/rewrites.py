@@ -72,7 +72,7 @@ def find_sites(g: Graph, v: int) -> list[PendentSite]:
             continue
         cut = ~(1 << x)
         rows = tuple(row & cut if u != x else 0 for u, row in enumerate(g.rows))
-        for comp in Graph._trusted(g.n, rows).components():
+        for comp in Graph(g.n, rows).components():
             if comp & (1 << v | 1 << x):
                 continue
             c = tuple(iter_bits(comp))

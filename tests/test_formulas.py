@@ -16,6 +16,8 @@ from turanp.formulas import (
     FormulaResult,
     UnspecifiedBase,
     eg_bound,
+    ep_h_linear_forest_value,
+    ep_k_join_matching_value,
     ex_broom4,
     ex_broom5_partial,
     ex_kP3,
@@ -34,10 +36,13 @@ from turanp.formulas import (
     lemma_superadd_check,
 )
 from turanp.graphs import Graph, disjoint_union, ep_value
+from turanp.oracle import max_ep
 from turanp.patterns import (
     BroomPattern,
     LinearForestPattern,
     PathPattern,
+    StarForestPattern,
+    StarPattern,
     is_free,
     parse_pattern,
 )
@@ -242,6 +247,8 @@ EVALUATORS = {
     "exp_broom": lambda n: exp_broom(n, 5, 1, 2),
     "exp_broom_ell4": lambda n: exp_broom(n, 4, 1, 2),
     "exp_turan_clique": lambda n: exp_turan_clique(n, 2, 2),
+    # no closed form, so only the test of n on entry sees it
+    "formula_for_pattern": lambda n: formula_for_pattern(BroomPattern(8, 1), n, 2),
 }
 
 
@@ -251,6 +258,47 @@ def test_evaluators_reject_negative_n(name):
     for n in (-1, -2, -7):
         with pytest.raises(ValueError, match="n >= "):
             EVALUATORS[name](n)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_reject_an_n_that_is_not_an_int(name):
+    # path:6 at n = 10.0 gave 194.0, and ex_kP3(10.0, 2) 13.0 in window
+    for n in (10.0, True):
+        with pytest.raises(TypeError, match="n must be an int"):
+            EVALUATORS[name](n)
+
+
+# every function that takes a power p: p -> a call valid for p >= least
+POWER_USERS = {
+    "ep_value": (lambda p: ep_value(h_path(6, 5), p), 1),
+    "max_ep": (lambda p: max_ep(5, PathPattern(4), p), 1),
+    "formula_for_pattern": (lambda p: formula_for_pattern(PathPattern(3), 10, p), 1),
+    "exp_path_short": (lambda p: exp_path(10, 3, p), 1),
+    "exp_path": (lambda p: exp_path(10, 6, p), 2),
+    "exp_star": (lambda p: exp_star(10, 3, p), 1),
+    "exp_star_forest": (lambda p: exp_star_forest(10, [2, 1], p), 2),
+    "exp_linear_forest": (lambda p: exp_linear_forest(10, [3, 2], p), 2),
+    "exp_kP3": (lambda p: exp_kP3(10, 2, p), 2),
+    "exp_broom": (lambda p: exp_broom(200, 5, 1, p), 2),
+    "exp_turan_clique": (lambda p: exp_turan_clique(10, 3, p), 1),
+    "lemma_superadd_check": (lambda p: lemma_superadd_check(5, 5, 5, p, "a"), 2),
+    "lemma_absorb_check": (lambda p: lemma_absorb_check(5, 0, 96, 5, 5, p, "a"), 2),
+    "ep_h_linear_forest_value": (lambda p: ep_h_linear_forest_value(10, [5], p), 1),
+    "ep_k_join_matching_value": (lambda p: ep_k_join_matching_value(10, 2, p), 1),
+}
+
+
+@pytest.mark.parametrize("name", POWER_USERS)
+def test_every_power_goes_through_check_power(name):
+    # a float power is inexact: exp_star(10, 3, 2.5).value was
+    # 56.568542494923804 and exp_broom(200, 5, 1, 2.0).value 40394.0
+    call, least = POWER_USERS[name]
+    for p in (2.5, 2.0, True):
+        with pytest.raises(TypeError, match=f"p must be an int, got {type(p).__name__}$"):
+            call(p)
+    with pytest.raises(ValueError, match=f"need p >= {least}$"):
+        call(least - 1)
+    call(least)
 
 
 # ---------------------------------------------------------------------
@@ -391,6 +439,62 @@ def test_formula_for_pattern_rejects_a_p_that_is_not_an_int(p):
     # a float power is inexact (path:4 at n = 10 and p = 2.5 gave 252.0)
     with pytest.raises(TypeError, match="p must be an int"):
         formula_for_pattern(PathPattern(4), 10, p)
+
+
+def host_builder(pattern):
+    """n -> the families graph whose e_p formula_for_pattern gives for the
+    pattern at p >= 2 (raising ValueError where the builder has no graph
+    on n vertices), or None where no closed form is known."""
+    if isinstance(pattern, LinearForestPattern) and len(pattern.lengths) == 1:
+        pattern = PathPattern(pattern.lengths[0])
+    if isinstance(pattern, BroomPattern) and pattern.s == 0:
+        pattern = PathPattern(pattern.ell)
+    if isinstance(pattern, StarForestPattern) and len(pattern.degrees) == 1:
+        pattern = StarPattern(pattern.degrees[0])
+    if isinstance(pattern, PathPattern) and pattern.ell <= 3:
+        pattern = StarPattern(pattern.ell - 1)  # P_2 = S_1 and P_3 = S_2
+    if isinstance(pattern, StarPattern):
+        d = pattern.r - 1
+        return lambda n: complete_graph(n) if n <= d else near_regular(n, d)
+    if isinstance(pattern, PathPattern):
+        return lambda n: h_path(n, pattern.ell)
+    if isinstance(pattern, StarForestPattern):
+        degrees = pattern.degrees
+        return lambda n: g_star_join(n, len(degrees), degrees[-1])
+    if isinstance(pattern, LinearForestPattern):
+        lengths = list(pattern.lengths)
+        if set(lengths) == {3}:
+            return lambda n: k_join_matching(n, len(lengths))
+        return lambda n: h_linear_forest(n, lengths)
+    ell = pattern.ell
+    if ell == 4:
+        return lambda n: star_graph(n - 1)
+    if ell == 5:
+        return lambda n: k_join_matching(n, 2)
+    if ell in (6, 7):
+        return lambda n: h_path(n, ell)
+    return None
+
+
+def test_closed_forms_are_the_e_p_of_the_families_hosts():
+    # the closed forms and the families builders are two routes to one
+    # number: a value exactly where a host is built, and its e_p
+    compared = 0
+    for text in GRID_TEXTS:
+        pattern = parse_pattern(text)
+        build = host_builder(pattern)
+        for n in range(65):
+            try:
+                host = None if build is None else build(n)
+            except ValueError:
+                host = None
+            for p in (2, 3, 4):
+                res = formula_for_pattern(pattern, n, p)
+                assert (res is None) == (host is None), (text, n, p)
+                if host is not None:
+                    compared += 1
+                    assert res.value == ep_value(host, p), (text, n, p)
+    assert compared == 7305
 
 
 def clique_union_ep(n, size, p):

@@ -537,7 +537,7 @@ def max_ep_unbounded(n, pattern, p):
         if val > best:
             best, codes = val, set()
         if val == best:
-            codes.add(canonical_code(Graph._trusted(n, tuple(rows))))
+            codes.add(canonical_code(Graph(n, tuple(rows))))
     return best, codes
 
 
@@ -624,7 +624,7 @@ def test_extensions_keep_exactly_the_free_masks(spec):
         bases = _classes(k - 1, matcher, _Counts())
         free, held = [], 0
         for base, mask in _extensions(bases, k, None, _Counts()):
-            g = Graph._trusted(k, tuple(_rows(base, mask)))
+            g = Graph(k, tuple(_rows(base, mask)))
             if contains_forest_generic(g, edges) is False:
                 free.append((base, mask))
             else:
