@@ -27,6 +27,7 @@ from .families import (
     clique_union,
     complete_graph,
     empty_graph,
+    extremal_host,
     friendship_graph,
     g_star_join,
     h_linear_forest,
@@ -56,6 +57,7 @@ from .patterns import (
     contains_star_forest,
     is_free,
     parse_pattern,
+    unalias,
 )
 from .formulas import (
     FormulaResult,

@@ -10,6 +10,8 @@ import inspect
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphCapError, VERTEX_CAP, disjoint_union, join
+from .patterns import (ForestPattern, LinearForestPattern, PathPattern,
+                       StarForestPattern, StarPattern, unalias)
 
 
 def _check_cap(n: int, what: str) -> None:
@@ -58,7 +60,8 @@ def turan_graph(n: int, r: int) -> Graph:
     _check_cap(n, "Turan graph")
     if r < 1:
         raise ValueError("Turan graph needs r >= 1")
-    sizes = turan_part_sizes(n, r)
+    q, rem = divmod(n, r)
+    sizes = [q + 1] * rem + [q] * (r - rem)
     rows = [0] * n
     full = (1 << n) - 1
     start = 0
@@ -68,11 +71,6 @@ def turan_graph(n: int, r: int) -> Graph:
             rows[v] = full & ~part
         start += size
     return Graph(n, tuple(rows))
-
-
-def turan_part_sizes(n: int, r: int) -> list[int]:
-    q, rem = divmod(n, r)
-    return [q + 1] * rem + [q] * (r - rem)
 
 
 def friendship_graph(n: int) -> Graph:
@@ -189,6 +187,32 @@ def unbalanced_bipartite(n: int) -> Graph:
     _check_cap(n, "unbalanced bipartite graph")
     small = n // 2 - 1
     return join(empty_graph(small), empty_graph(n - small))
+
+
+def extremal_host(pattern: ForestPattern, n: int) -> Graph | None:
+    """The graph on n vertices whose e_p formulas.formula_for_pattern gives
+    for the pattern at p >= 2, or None where no closed form is known
+    (brooms with ell outside 4..7 and s >= 1).  Below the host's order
+    its builder raises ValueError."""
+    pattern = unalias(pattern)
+    if isinstance(pattern, PathPattern) and pattern.ell <= 3:
+        pattern = StarPattern(pattern.ell - 1)  # P_2 = S_1 and P_3 = S_2
+    if isinstance(pattern, StarPattern):
+        d = pattern.r - 1
+        return complete_graph(n) if n <= d else near_regular(n, d)
+    if isinstance(pattern, PathPattern):
+        return h_path(n, pattern.ell)
+    if isinstance(pattern, StarForestPattern):
+        return g_star_join(n, len(pattern.degrees), pattern.degrees[-1])
+    if isinstance(pattern, LinearForestPattern):
+        if set(pattern.lengths) == {3}:
+            return k_join_matching(n, len(pattern.lengths))
+        return h_linear_forest(n, list(pattern.lengths))
+    if pattern.ell == 4:  # a broom with s >= 1
+        return star_graph(n - 1)
+    if pattern.ell == 5:
+        return k_join_matching(n, 2)
+    return h_path(n, pattern.ell) if pattern.ell in (6, 7) else None
 
 
 # ---------------------------------------------------------------------

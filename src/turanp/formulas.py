@@ -6,9 +6,11 @@ meets it.  Out-of-window inputs still get the formula value (flagged
 in_window=False) so the oracle can compare brute-force truth against
 formula extrapolations below threshold.  Below the order of the
 construction a value evaluates, no graph has the value: the evaluator
-raises BelowDomain, with the bound the construction's builder enforces.  When a theorem's threshold is
-only "n sufficiently large" with no explicit constant, in_window is
-False for every n and the window text says so; we never invent one.
+raises BelowDomain, with the bound the construction's builder enforces.  When a theorem's
+threshold is only "n sufficiently large" with no explicit constant,
+in_window is False for every n and the window text says so; we never
+invent one.  Shape parameters (r, k, s, ell, star degrees, path orders)
+pass one gate, _need_shape, as n passes _need_vertices.
 
 All division is integer floor division, matching the floor notation of
 the source results; decompositions like n = a(ell-1)+b are recomputed
@@ -27,6 +29,7 @@ from .patterns import (
     PathPattern,
     StarForestPattern,
     StarPattern,
+    unalias,
 )
 
 
@@ -98,6 +101,16 @@ def _need_vertices(n: int, order: int = 0, host: str = "") -> None:
         raise BelowDomain(f"{host} needs n >= {order}, got n={n}")
 
 
+def _need_shape(name: str, least: int, *values) -> None:
+    """Reject a shape parameter (r, k, s, ell, a star degree or a path
+    order) that is not an int (a bool included) or is below ``least``."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{name} must be an int, got {type(v).__name__}")
+        if v < least:
+            raise ValueError(f"need {name} >= {least}")
+
+
 # ---------------------------------------------------------------------
 # classical Turan numbers
 # ---------------------------------------------------------------------
@@ -106,8 +119,7 @@ def ex_path(n: int, ell: int) -> FormulaResult:
     """ex(n, P_ell) = a*C(ell-1,2) + C(b,2) with n = a(ell-1)+b,
     0 <= b < ell-1.  Exact for every n."""
     _need_vertices(n)
-    if ell < 2:
-        raise ValueError("need ell >= 2 and n >= 0")
+    _need_shape("ell", 2, ell)
     a, b = divmod(n, ell - 1)
     value = a * comb(ell - 1, 2) + comb(b, 2)
     return FormulaResult(value, True, "all n", "faudree-schelp-1975",
@@ -117,8 +129,7 @@ def ex_path(n: int, ell: int) -> FormulaResult:
 def eg_bound(n: int, ell: int) -> int:
     """Upper bound ex(n, P_ell) <= (ell/2 - 1) n, floored."""
     _need_vertices(n)
-    if ell < 2:
-        raise ValueError("need ell >= 2 and n >= 0")
+    _need_shape("ell", 2, ell)
     return n * (ell - 2) // 2
 
 
@@ -127,8 +138,8 @@ def ex_linear_forest(n: int, lengths) -> FormulaResult:
     b = sum(floor(l_i/2)) - 1 and c = 1 iff every l_i is odd.  Not
     applicable to kP_3 with k >= 2 (use ex_kP3)."""
     lengths = sorted(lengths, reverse=True)
-    if not lengths or any(l < 2 for l in lengths):
-        raise ValueError("path orders must all be >= 2")
+    _need_shape("path order", 2, *lengths)
+    _need_shape("k", 1, len(lengths))
     if len(lengths) == 1:
         return ex_path(n, lengths[0])
     if all(l == 3 for l in lengths):
@@ -157,8 +168,7 @@ def ex_linear_forest(n: int, lengths) -> FormulaResult:
 
 def ex_kP3(n: int, k: int) -> FormulaResult:
     """ex(n, kP_3) = C(k-1,2) + (k-1)(n-k+1) + floor((n-k+1)/2)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
+    _need_shape("k", 1, k)
     _need_vertices(n, k, "K_{k-1}+M_{n-k+1}")
     value = comb(k - 1, 2) + (k - 1) * (n - k + 1) + (n - k + 1) // 2
     if k == 1:
@@ -171,8 +181,8 @@ def ex_star_forest(n: int, degrees) -> FormulaResult:
     """ex(n, union of stars S_{r_1..r_k}) = max over 1 <= i <= k of
     (i-1)(n-i+1) + C(i-1,2) + floor((r_i-1)(n-i+1)/2)."""
     degrees = sorted(degrees, reverse=True)
-    if not degrees or any(r < 1 for r in degrees):
-        raise ValueError("star degrees must all be >= 1")
+    _need_shape("star degree", 1, *degrees)
+    _need_shape("k", 1, len(degrees))
     # G(n,i,r_i) needs n-i+1 > r_i-1
     _need_vertices(n, max(i + r for i, r in enumerate(degrees)), "G(n,i,r_i)")
     vals = []
@@ -188,8 +198,7 @@ def ex_star_forest(n: int, degrees) -> FormulaResult:
 
 def ex_broom4(n: int, s: int) -> FormulaResult:
     """ex(n, B_{4,s}) for s >= 1, n >= s+4 (exact in that range)."""
-    if s < 1:
-        raise ValueError("need s >= 1 (B_{4,0} is P_4: use ex_path)")
+    _need_shape("s", 1, s)  # B_{4,0} is P_4: use ex_path
     _need_vertices(n, s + 4, "ex(n, B_{4,s})")
     a, b = divmod(n, s + 3)
     if s >= 3 and 2 <= b <= s:
@@ -206,8 +215,7 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
     """ex(n, B_{5,s}) for s >= 1, n >= s+5.  Closed for
     b in {0, s+1, s+2, s+3}; for 1 <= b <= s only the reduction
     (a-1)*C(s+4,2) + ex(s+4+b, B_{5,s}) is known, returned structurally."""
-    if s < 1:
-        raise ValueError("need s >= 1 (B_{5,0} is P_5: use ex_path)")
+    _need_shape("s", 1, s)  # B_{5,0} is P_5: use ex_path
     _need_vertices(n, s + 5, "ex(n, B_{5,s})")
     a, b = divmod(n, s + 4)
     window = f"n >= s+5 = {s + 5}"
@@ -226,6 +234,8 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
 def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
     """e_p(H(n,F)) straight from the degree multiset of H(n,F)."""
     check_power(p)
+    _need_shape("path order", 2, *lengths)
+    _need_shape("k", 1, len(lengths))
     _need_vertices(n, sum(lengths), "H(n,F)")
     b = sum(l // 2 for l in lengths) - 1
     if all(l % 2 == 1 for l in lengths):
@@ -236,6 +246,7 @@ def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
 def ep_k_join_matching_value(n: int, k: int, p: int) -> int:
     """e_p(K_{k-1} + M_{n-k+1}) from its degree multiset."""
     check_power(p)
+    _need_shape("k", 1, k)
     _need_vertices(n, k, "K_{k-1}+M_{n-k+1}")
     m = n - k + 1
     return ((k - 1) * (n - 1) ** p + 2 * (m // 2) * k ** p
@@ -245,8 +256,7 @@ def ep_k_join_matching_value(n: int, k: int, p: int) -> int:
 def exp_path(n: int, ell: int, p: int) -> FormulaResult:
     """ex_p(n, P_ell): exact classic values for ell in {2,3} (all n);
     e_p(H(n,ell)) for ell >= 4 and sufficiently large n."""
-    if ell < 2:
-        raise ValueError("need ell >= 2")
+    _need_shape("ell", 2, ell)
     _need_vertices(n)
     check_power(p, 1 if ell <= 3 else 2)
     if ell <= 3:
@@ -261,8 +271,7 @@ def exp_path(n: int, ell: int, p: int) -> FormulaResult:
 def exp_star(n: int, r: int, p: int) -> FormulaResult:
     """ex_p(n, S_r), exact for every n and p >= 1."""
     check_power(p)
-    if r < 1:
-        raise ValueError("need r >= 1 and p >= 1")
+    _need_shape("r", 1, r)
     _need_vertices(n)
     if n <= r - 1:
         value = n * (n - 1) ** p
@@ -285,8 +294,7 @@ def exp_star_forest(n: int, degrees, p: int) -> FormulaResult:
     degrees = sorted(degrees, reverse=True)
     if len(degrees) < 2:
         raise ValueError("need k >= 2 stars (use exp_star for one star)")
-    if any(r < 1 for r in degrees):
-        raise ValueError("need star degrees >= 1 and p >= 2")
+    _need_shape("star degree", 1, *degrees)
     k = len(degrees)
     rk = degrees[-1]
     _need_vertices(n, k + rk - 1, "G(n,k,r_k)")
@@ -306,8 +314,7 @@ def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
     lengths = sorted(lengths, reverse=True)
     if len(lengths) < 2:
         raise ValueError("need k >= 2 paths (use exp_path for one path)")
-    if any(l < 2 for l in lengths):
-        raise ValueError("need path orders >= 2 and p >= 2")
+    _need_shape("path order", 2, *lengths)
     if all(l == 3 for l in lengths):
         raise ValueError("all components are P_3: use exp_kP3")
     value = ep_h_linear_forest_value(n, lengths, p)
@@ -319,8 +326,7 @@ def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
 def exp_kP3(n: int, k: int, p: int) -> FormulaResult:
     """ex_p(n, kP_3) = e_p(K_{k-1} + M_{n-k+1}) for sufficiently large n."""
     check_power(p, 2)
-    if k < 2:
-        raise ValueError("need k >= 2 and p >= 2 (use exp_path for P_3)")
+    _need_shape("k", 2, k)  # P_3 is the k = 1 case: use exp_path
     value = ep_k_join_matching_value(n, k, p)
     return FormulaResult(value, False, _UNSPECIFIED, "kp3-degree-power-corollary")
 
@@ -332,16 +338,14 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
       window is proven here, and 2(s+4) is not one: every component of
       2K_5 u K_3 has fewer than the broom's s + 4 vertices, so it is
       B_{4,2}-free, and at n = 13 its e_2 is 172 against 156.
-    ell=5, s>=1: e_p(K_1 + M_{n-1}), window n > (2s+10)^2.
-    ell=5, s=0:  e_p(H(n,5)), same window.
-    ell=6: e_p(H(n,6)), window n > (2s+12)^2.
-    ell=7: e_p(H(n,7)), window n > (3s+31)^2.
+    ell=5, s>=1: e_p(K_1 + M_{n-1}); otherwise e_p(H(n,ell)).  Windows:
+      n > (2s+10)^2, (2s+12)^2 and (3s+31)^2 for ell = 5, 6 and 7.
     B_{ell,0} = P_ell, so s=0 values coincide with exp_path."""
     check_power(p, 2)
-    if ell not in (4, 5, 6, 7):
+    _need_shape("ell", 4, ell)
+    _need_shape("s", 0, s)
+    if ell > 7:
         raise ValueError("broom closed forms cover ell in {4,5,6,7}")
-    if s < 0:
-        raise ValueError("need s >= 0 and p >= 2")
     _need_vertices(n)
     if ell == 4:
         if s == 0:
@@ -349,23 +353,14 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
         _need_vertices(n, 1, "S_{n-1}")
         value = (n - 1) ** p + (n - 1)
         return FormulaResult(value, False, _UNSPECIFIED, "caro-yuster-2000")
-    if ell == 5:
-        thr = (2 * s + 10) ** 2
-        if s == 0:
-            value = ep_h_linear_forest_value(n, [5], p)
-        else:
-            value = ep_k_join_matching_value(n, 2, p)
-        return FormulaResult(value, n > thr, f"n > (2s+10)^2 = {thr}",
-                             "broom5-degree-power-theorem")
-    if ell == 6:
-        thr = (2 * s + 12) ** 2
-        value = ep_h_linear_forest_value(n, [6], p)
-        return FormulaResult(value, n > thr, f"n > (2s+12)^2 = {thr}",
-                             "broom6-degree-power-theorem")
-    thr = (3 * s + 31) ** 2
-    value = ep_h_linear_forest_value(n, [7], p)
-    return FormulaResult(value, n > thr, f"n > (3s+31)^2 = {thr}",
-                         "broom7-degree-power-theorem")
+    a, c = {5: (2, 10), 6: (2, 12), 7: (3, 31)}[ell]  # window n > (as+c)^2
+    thr = (a * s + c) ** 2
+    if ell == 5 and s >= 1:
+        value = ep_k_join_matching_value(n, 2, p)
+    else:
+        value = ep_h_linear_forest_value(n, [ell], p)
+    return FormulaResult(value, n > thr, f"n > ({a}s+{c})^2 = {thr}",
+                         f"broom{ell}-degree-power-theorem")
 
 
 def exp_turan_clique(n: int, r: int, p: int) -> FormulaResult:
@@ -373,8 +368,7 @@ def exp_turan_clique(n: int, r: int, p: int) -> FormulaResult:
     unbalanced complete bipartite graphs can beat the Turan graph)."""
     _need_vertices(n)
     check_power(p)
-    if r < 1:
-        raise ValueError("need r >= 1, p >= 1, n >= 0")
+    _need_shape("r", 1, r)
     q, rem = divmod(n, r)
     sizes = [q + 1] * rem + [q] * (r - rem)
     value = sum(size * (n - size) ** p for size in sizes)
@@ -404,9 +398,10 @@ def lemma_superadd_check(ell: int, n1: int, n2: int, p: int,
     e_p(X(n1)) + e_p(X(n2)) < e_p(X(n1+n2)) where X is K_1+M_{n-1}
     (variant "a", ell=5) or H(n,ell) (variant "b", ell >= 5)."""
     check_power(p, 2)
+    _need_shape("ell", 5, ell)
     ep_host = _lemma_host(ell, variant)
-    if ell < 5 or min(n1, n2) < ell:
-        raise ValueError("need p >= 2 and n1, n2 >= ell >= 5")
+    if min(n1, n2) < ell:
+        raise ValueError("need n1, n2 >= ell >= 5")
     return ep_host(n1, p) + ep_host(n2, p) < ep_host(n1 + n2, p)
 
 
@@ -417,9 +412,10 @@ def lemma_absorb_check(ell: int, s: int, h: int, hstar: int, d: int, p: int,
     max degree <= d (so e_p(G*) <= hstar * d**p, the worst case checked
     here), e_p(X(h)) + e_p(G*) < e_p(X(n))."""
     check_power(p, 2)
+    _need_shape("ell", 5, ell)
+    _need_shape("s", 0, s)
+    _need_shape("d", 0, d)
     ep_host = _lemma_host(ell, variant)
-    if ell < 5 or s < 0 or d < 0:
-        raise ValueError("need p >= 2, ell >= 5, s >= 0, d >= 0")
     n = h + hstar
     if hstar <= 0 or h < ell:
         raise ValueError("need hstar > 0 and h >= ell")
@@ -446,7 +442,7 @@ def formula_for_pattern(pattern: ForestPattern, n: int, p: int) -> FormulaResult
     check_power(p)
     _need_vertices(n)
     try:
-        return _formula(pattern, n, p)
+        return _formula(unalias(pattern), n, p)
     except BelowDomain:
         return None
 
@@ -459,27 +455,18 @@ def _formula(pattern: ForestPattern, n: int, p: int) -> FormulaResult | None:
     if isinstance(pattern, StarPattern):
         return exp_star(n, pattern.r, p)
     if isinstance(pattern, StarForestPattern):
-        if len(pattern.degrees) == 1:
-            return exp_star(n, pattern.degrees[0], p)
         if p == 1:
             return _double(ex_star_forest(n, pattern.degrees))
         return exp_star_forest(n, pattern.degrees, p)
     if isinstance(pattern, LinearForestPattern):
-        lengths = pattern.lengths
-        if len(lengths) == 1:
-            return _formula(PathPattern(lengths[0]), n, p)
-        if all(l == 3 for l in lengths):
-            k = len(lengths)
-            if p == 1:
-                return _double(ex_kP3(n, k))
-            return exp_kP3(n, k, p)
+        lengths, k = pattern.lengths, len(pattern.lengths)
+        if set(lengths) == {3}:
+            return _double(ex_kP3(n, k)) if p == 1 else exp_kP3(n, k, p)
         if p == 1:
             return _double(ex_linear_forest(n, lengths))
         return exp_linear_forest(n, lengths, p)
     if isinstance(pattern, BroomPattern):
         ell, s = pattern.ell, pattern.s
-        if s == 0:
-            return _formula(PathPattern(ell), n, p)
         if ell not in (4, 5, 6, 7):
             return None
         if p == 1:

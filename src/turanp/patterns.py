@@ -229,6 +229,19 @@ def parse_pattern(text: str) -> ForestPattern:
     raise ValueError(f"unknown pattern tag {tag!r}")
 
 
+def unalias(pattern: ForestPattern) -> ForestPattern:
+    """The same forest under its narrowest tag: a one-path linear forest
+    is a path, B_{ell,0} is P_ell and a one-star star forest is a star.
+    Closed forms and extremal hosts are looked up on this form."""
+    if isinstance(pattern, LinearForestPattern) and len(pattern.lengths) == 1:
+        return PathPattern(pattern.lengths[0])
+    if isinstance(pattern, BroomPattern) and pattern.s == 0:
+        return PathPattern(pattern.ell)
+    if isinstance(pattern, StarForestPattern) and len(pattern.degrees) == 1:
+        return StarPattern(pattern.degrees[0])
+    return pattern
+
+
 # ---------------------------------------------------------------------
 # twin reduction
 # ---------------------------------------------------------------------

@@ -2,11 +2,14 @@
 certification, oracle agreement, lemma grids, rewrite properties, and the
 e_4 counterexample, plus verify_range, the oracle-against-closed-form
 grid behind `oracle --n-range`.  The oracle itself never imports the
-closed forms, so it stays an independent check on them.  The CLI
-`verify` and `lemmas` subcommands drive the suites.  The pytest
-acceptance suite (criteria 1-6) checks the same identities at full grid
-sizes with its own loops and its own degree-multiset route; it shares
-only the sample lists and absorb_grid with this module.
+closed forms, so it stays an independent check on them.  The consistency
+and freeness checks are each one grid of pattern rows and one loop, and
+both grids read each pattern's host from families.extremal_host, the one
+pattern -> host table.  The CLI `verify` and `lemmas` subcommands drive
+the suites.  The pytest acceptance suite (criteria 1-6) checks the same
+identities at full grid sizes with its own loops and its own
+degree-multiset route; it shares only the sample lists and absorb_grid
+with this module.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ STAR_FOREST_SAMPLES = [
     [1, 1], [2, 1], [2, 2], [3, 2], [3, 3],
     [2, 2, 2], [3, 1], [2, 2, 1, 1], [3, 2, 1], [2, 2, 1],
 ]
+# the consistency check's star forests, on G(n,k,r_k) and on max_i G(n,i,r_i)
+STAR_FOREST_HOSTS = [(2, 2), (3, 2), (3, 3), (2, 2, 2)]
 
 DEFAULT_CONFIG = {
     "consistency.n_max": 30,
@@ -114,6 +119,31 @@ def _ms_ep(ms: list[tuple[int, int]], p: int) -> int:
 # checks
 # ---------------------------------------------------------------------
 
+def _host_grid(n_max: int, p_max: int) -> list[tuple]:
+    """(pattern, orders, powers) rows on which a closed form is compared
+    with e_p of the pattern's families.extremal_host.  At p = 1 that is
+    twice the classical Turan number against 2|E| of the same host; star
+    forests, whose classical extremal graph is another one, skip p = 1
+    here and keep their own route in check_consistency."""
+    high = range(2, p_max + 1)
+    every = range(1, p_max + 1)
+    edges = range(1, max(p_max, 1) + 1)  # the edge count even at p_max = 0
+    rows = [(patterns.PathPattern(ell), range(ell, n_max + 1), high)
+            for ell in (4, 5, 6, 7, 8)]
+    rows.append((patterns.PathPattern(3), range(2, n_max + 1), every))
+    rows += [(patterns.LinearForestPattern(lengths), range(sum(lengths), n_max + 1, 3),
+              edges) for lengths in ((4, 2), (5, 3), (2, 2), (4, 3))]
+    rows += [(patterns.StarForestPattern(degrees),
+              range(sum(degrees) + len(degrees), n_max + 1, 3), high)
+             for degrees in STAR_FOREST_HOSTS]
+    rows += [(patterns.LinearForestPattern((3,) * k), range(max(k, 5), n_max + 1, 2),
+              edges) for k in (2, 3)]
+    rows += [(patterns.StarPattern(r), range(2, n_max + 1, 3), every) for r in (2, 3, 5)]
+    rows += [(patterns.BroomPattern(ell, s), range(2 * (s + 4) - 2, n_max + 1, 3), high)
+             for s in (1, 2, 3) for ell in (4, 5)]
+    return rows
+
+
 def check_consistency(cfg: dict) -> CheckResult:
     n_max = cfg["consistency.n_max"]
     p_max = cfg["consistency.p_max"]
@@ -127,74 +157,30 @@ def check_consistency(cfg: dict) -> CheckResult:
         if got != want:
             bad.append(f"{label}: formula {got} != construction {want}")
 
+    for pattern, orders, powers in _host_grid(n_max, p_max):
+        for n in orders:
+            host = families.extremal_host(pattern, n)
+            for p in powers:
+                res = formulas.formula_for_pattern(pattern, n, p)
+                expect(f"{pattern.text()} n={n} p={p}",
+                       None if res is None else res.value, ep_value(host, p))
     pvals = range(2, p_max + 1)
-    for ell in (4, 5, 6, 7, 8):
-        for n in range(ell, n_max + 1):
-            g = families.h_path(n, ell)
-            for p in pvals:
-                expect(f"exp_path({n},{ell},{p})",
-                       formulas.exp_path(n, ell, p).value, ep_value(g, p))
-        for n in big_n:
-            for p in pvals:
+    for n in big_n:
+        for p in pvals:
+            for ell in (4, 5, 6, 7, 8):
                 expect(f"exp_path({n},{ell},{p})#multiset",
                        formulas.exp_path(n, ell, p).value,
                        _ms_ep(_ms_h_forest(n, [ell]), p))
-    for n in range(2, n_max + 1):
-        g = families.matching_graph(n)
-        for p in range(1, p_max + 1):
-            expect(f"exp_path({n},3,{p})", formulas.exp_path(n, 3, p).value,
-                   ep_value(g, p))
-    for lengths in ([4, 2], [5, 3], [2, 2], [4, 3]):
-        lo = sum(lengths)
-        for n in range(lo, n_max + 1, 3):
-            g = families.h_linear_forest(n, lengths)
-            for p in pvals:
-                expect(f"exp_linear_forest({n},{lengths},{p})",
-                       formulas.exp_linear_forest(n, lengths, p).value,
-                       ep_value(g, p))
-            expect(f"ex_linear_forest({n},{lengths})",
-                   formulas.ex_linear_forest(n, lengths).value, g.edge_count())
-    for degrees in ([2, 2], [3, 2], [3, 3], [2, 2, 2]):
-        k = len(degrees)
-        lo = sum(degrees) + k
-        for n in range(lo, n_max + 1, 3):
-            g = families.g_star_join(n, k, degrees[-1])
-            for p in pvals:
-                expect(f"exp_star_forest({n},{degrees},{p})",
-                       formulas.exp_star_forest(n, degrees, p).value,
-                       ep_value(g, p))
-            best = max(families.g_star_join(n, i, degrees[i - 1]).edge_count()
-                       for i in range(1, k + 1))
-            expect(f"ex_star_forest({n},{degrees})",
-                   formulas.ex_star_forest(n, degrees).value, best)
-    for k in (2, 3):
-        for n in range(max(k, 5), n_max + 1, 2):
-            g = families.k_join_matching(n, k)
-            for p in pvals:
-                expect(f"exp_kP3({n},{k},{p})",
-                       formulas.exp_kP3(n, k, p).value, ep_value(g, p))
-            expect(f"ex_kP3({n},{k})", formulas.ex_kP3(n, k).value, g.edge_count())
-    for r in (2, 3, 5):
-        for n in range(2, n_max + 1, 3):
-            g = (families.complete_graph(n) if n <= r - 1
-                 else families.near_regular(n, r - 1))
-            for p in range(1, p_max + 1):
-                expect(f"exp_star({n},{r},{p})",
-                       formulas.exp_star(n, r, p).value, ep_value(g, p))
-    for s in (1, 2, 3):
-        for n in range(2 * (s + 4) - 2, n_max + 1, 3):
-            g4 = families.star_graph(n - 1)
-            g5 = families.k_join_matching(n, 2)
-            for p in pvals:
-                expect(f"exp_broom({n},4,{s},{p})",
-                       formulas.exp_broom(n, 4, s, p).value, ep_value(g4, p))
-                expect(f"exp_broom({n},5,{s},{p})",
-                       formulas.exp_broom(n, 5, s, p).value, ep_value(g5, p))
-        for n in big_n:
-            for p in pvals:
+            for s in (1, 2, 3):
                 expect(f"exp_broom({n},5,{s},{p})#multiset",
                        formulas.exp_broom(n, 5, s, p).value,
                        _ms_ep(_ms_k_join_matching(n, 2), p))
+    for degrees in STAR_FOREST_HOSTS:
+        for n in range(sum(degrees) + len(degrees), n_max + 1, 3):
+            best = max(families.g_star_join(n, i, degrees[i - 1]).edge_count()
+                       for i in range(1, len(degrees) + 1))
+            expect(f"ex_star_forest({n},{list(degrees)})",
+                   formulas.ex_star_forest(n, degrees).value, best)
     for r in (1, 2, 3):
         for n in range(r, n_max + 1, 3):
             g = families.turan_graph(n, r)
@@ -225,50 +211,34 @@ def check_consistency(cfg: dict) -> CheckResult:
     return _result("consistency", ran, bad, "mismatches")
 
 
+def _freeness_grid(n_max: int) -> list[tuple]:
+    """(pattern, orders) rows on which the pattern's families.extremal_host
+    is certified free: every order for paths, three sampled orders for
+    the linear and star forest samples, every other order for brooms."""
+    def sampled(lo: int) -> list[int]:
+        hi = max(lo, n_max)
+        return sorted({lo, (lo + hi) // 2, hi})
+
+    rows = [(patterns.PathPattern(ell), range(ell, n_max + 1)) for ell in range(4, 10)]
+    rows += [(patterns.LinearForestPattern(tuple(lengths)), sampled(sum(lengths)))
+             for lengths in LINEAR_FOREST_SAMPLES]
+    rows += [(patterns.StarForestPattern(tuple(degrees)),
+              sampled(sum(degrees) + len(degrees))) for degrees in STAR_FOREST_SAMPLES]
+    rows += [(patterns.BroomPattern(ell, s), range(7 + s, n_max + 1, 2))
+             for s in range(4) for ell in (5, 6, 7)]
+    return rows
+
+
 def check_freeness(cfg: dict) -> CheckResult:
-    n_max = cfg["freeness.n_max"]
     bad: list[str] = []
     ran = 0
-
-    def certify(label: str, g, pattern) -> None:
-        nonlocal ran
-        ran += 1
-        res = patterns.is_free(g, pattern)
-        if res is not True:
-            bad.append(f"{label}: expected free, got {res!r}")
-
-    for ell in range(4, 10):
-        for n in range(ell, n_max + 1):
-            certify(f"H({n},{ell}) vs P_{ell}", families.h_path(n, ell),
-                    patterns.PathPattern(ell))
-    for lengths in LINEAR_FOREST_SAMPLES:
-        lo = sum(lengths)
-        hi = max(lo, n_max)
-        for n in sorted({lo, (lo + hi) // 2, hi}):
-            certify(f"H({n},{lengths}) vs {lengths}",
-                    families.h_linear_forest(n, lengths),
-                    patterns.LinearForestPattern(tuple(lengths)))
-    for degrees in STAR_FOREST_SAMPLES:
-        k = len(degrees)
-        degrees = sorted(degrees, reverse=True)
-        lo = sum(degrees) + k
-        hi = max(lo, n_max)
-        for n in sorted({lo, (lo + hi) // 2, hi}):
-            certify(f"G({n},{k},{degrees[-1]}) vs stars{degrees}",
-                    families.g_star_join(n, k, degrees[-1]),
-                    patterns.StarForestPattern(tuple(degrees)))
-    for s in range(0, 4):
-        for n in range(7 + s, n_max + 1, 2):
-            certify(f"H({n},6) vs B(6,{s})", families.h_path(n, 6),
-                    patterns.BroomPattern(6, s))
-            certify(f"H({n},7) vs B(7,{s})", families.h_path(n, 7),
-                    patterns.BroomPattern(7, s))
-            if s >= 1:
-                certify(f"K_1+M_{n-1} vs B(5,{s})", families.k_join_matching(n, 2),
-                        patterns.BroomPattern(5, s))
-            else:
-                certify(f"H({n},5) vs B(5,0)", families.h_path(n, 5),
-                        patterns.BroomPattern(5, 0))
+    for pattern, orders in _freeness_grid(cfg["freeness.n_max"]):
+        for n in orders:
+            ran += 1
+            res = patterns.is_free(families.extremal_host(pattern, n), pattern)
+            if res is not True:
+                bad.append(f"{pattern.text()} host at n={n}: expected free, "
+                           f"got {res!r}")
     return _result("freeness", ran, bad, "failures")
 
 

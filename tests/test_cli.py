@@ -357,15 +357,26 @@ def test_verify_missing_config_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_verify_freeness_below_sample_orders(tmp_path, capsys):
+# each grid's instance count at configs other than the default, so a row
+# dropped from the pattern -> host grids fails here
+@pytest.mark.parametrize("config, want", [
     # n_max = 8 is below most samples' orders: each runs at its own order
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text("freeness.n_max = 8\n")
+    ("freeness.n_max = 8", {"freeness": 59}),
+    ("consistency.n_max = 13\nconsistency.p_max = 2\nconsistency.big_n = 64\n"
+     "freeness.n_max = 24", {"consistency": 270, "freeness": 279}),
+    # p_max = 0 still compares each linear forest's edge count once per n
+    ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 295, "freeness": 22}),
+    ("consistency.n_max = 40\nfreeness.n_max = 30",
+     {"consistency": 2033, "freeness": 351}),
+], ids=["freeness8", "narrow", "p0", "wide"])
+def test_verify_freeness_below_sample_orders(tmp_path, capsys, config, want):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(config + "\n")
     code, out, _ = run(capsys, "verify", "--config", str(cfg),
-                       "--only", "freeness")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["pass"] is True and obj["detail"] == "59 instances, 0 failures"
+                       "--only", ",".join(want))
+    objs = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and all(obj["pass"] for obj in objs)
+    assert {obj["check"]: int(obj["detail"].split()[0]) for obj in objs} == want
 
 
 @pytest.mark.parametrize("key, value", [("lemmas.span", "-3"),

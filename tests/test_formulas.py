@@ -3,11 +3,11 @@ import pytest
 
 from turanp.families import (
     complete_graph,
+    extremal_host,
     g_star_join,
     h_linear_forest,
     h_path,
     k_join_matching,
-    matching_graph,
     near_regular,
     star_graph,
     turan_graph,
@@ -41,8 +41,6 @@ from turanp.patterns import (
     BroomPattern,
     LinearForestPattern,
     PathPattern,
-    StarForestPattern,
-    StarPattern,
     is_free,
     parse_pattern,
 )
@@ -301,6 +299,55 @@ def test_every_power_goes_through_check_power(name):
     call(least)
 
 
+# every (function, shape parameter): value -> a call, the name, its least
+SHAPE_USERS = {
+    "ex_path:ell": (lambda v: ex_path(20, v), "ell", 2),
+    "eg_bound:ell": (lambda v: eg_bound(20, v), "ell", 2),
+    "ex_linear_forest:lengths": (lambda v: ex_linear_forest(20, [4, v]), "path order", 2),
+    "ex_kP3:k": (lambda v: ex_kP3(20, v), "k", 1),
+    "ex_star_forest:degrees": (lambda v: ex_star_forest(20, [2, v]), "star degree", 1),
+    "ex_broom4:s": (lambda v: ex_broom4(20, v), "s", 1),
+    "ex_broom5_partial:s": (lambda v: ex_broom5_partial(20, v), "s", 1),
+    "ep_h_linear_forest_value:lengths":
+        (lambda v: ep_h_linear_forest_value(20, [4, v], 2), "path order", 2),
+    "ep_k_join_matching_value:k": (lambda v: ep_k_join_matching_value(20, v, 2), "k", 1),
+    "exp_path:ell": (lambda v: exp_path(20, v, 2), "ell", 2),
+    "exp_star:r": (lambda v: exp_star(20, v, 2), "r", 1),
+    "exp_star_forest:degrees": (lambda v: exp_star_forest(20, [2, v], 2), "star degree", 1),
+    "exp_linear_forest:lengths":
+        (lambda v: exp_linear_forest(20, [4, v], 2), "path order", 2),
+    "exp_kP3:k": (lambda v: exp_kP3(20, v, 2), "k", 2),
+    "exp_broom:ell": (lambda v: exp_broom(200, v, 1, 2), "ell", 4),
+    "exp_broom:s": (lambda v: exp_broom(200, 5, v, 2), "s", 0),
+    "exp_turan_clique:r": (lambda v: exp_turan_clique(20, v, 2), "r", 1),
+    "lemma_superadd_check:ell": (lambda v: lemma_superadd_check(v, 7, 7, 2, "b"), "ell", 5),
+    "lemma_absorb_check:ell": (lambda v: lemma_absorb_check(v, 0, 96, 5, 5, 2, "b"), "ell", 5),
+    "lemma_absorb_check:s": (lambda v: lemma_absorb_check(5, v, 96, 5, 5, 2, "a"), "s", 0),
+    "lemma_absorb_check:d": (lambda v: lemma_absorb_check(5, 0, 96, 5, v, 2, "a"), "d", 0),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_USERS)
+def test_every_shape_parameter_goes_through_one_gate(name):
+    # exp_star(10, 3.0, 2).value was 40.0 and exp_star(10, True, 2).value 0
+    call, param, least = SHAPE_USERS[name]
+    for v in (3.0, True):
+        with pytest.raises(TypeError,
+                           match=f"^{param} must be an int, got {type(v).__name__}$"):
+            call(v)
+    with pytest.raises(ValueError, match=f"^need {param} >= {least}$"):
+        call(least - 1)
+    call(least)
+
+
+def test_a_forest_with_no_components_is_rejected():
+    # e_p(H(n,F)) over no paths read -72 at n = 10 and p = 2
+    for call in (lambda: ep_h_linear_forest_value(10, [], 2),
+                 lambda: ex_linear_forest(10, []), lambda: ex_star_forest(10, [])):
+        with pytest.raises(ValueError, match="^need k >= 1$"):
+            call()
+
+
 # ---------------------------------------------------------------------
 # construction consistency and the K_1+M closed form
 # ---------------------------------------------------------------------
@@ -441,51 +488,15 @@ def test_formula_for_pattern_rejects_a_p_that_is_not_an_int(p):
         formula_for_pattern(PathPattern(4), 10, p)
 
 
-def host_builder(pattern):
-    """n -> the families graph whose e_p formula_for_pattern gives for the
-    pattern at p >= 2 (raising ValueError where the builder has no graph
-    on n vertices), or None where no closed form is known."""
-    if isinstance(pattern, LinearForestPattern) and len(pattern.lengths) == 1:
-        pattern = PathPattern(pattern.lengths[0])
-    if isinstance(pattern, BroomPattern) and pattern.s == 0:
-        pattern = PathPattern(pattern.ell)
-    if isinstance(pattern, StarForestPattern) and len(pattern.degrees) == 1:
-        pattern = StarPattern(pattern.degrees[0])
-    if isinstance(pattern, PathPattern) and pattern.ell <= 3:
-        pattern = StarPattern(pattern.ell - 1)  # P_2 = S_1 and P_3 = S_2
-    if isinstance(pattern, StarPattern):
-        d = pattern.r - 1
-        return lambda n: complete_graph(n) if n <= d else near_regular(n, d)
-    if isinstance(pattern, PathPattern):
-        return lambda n: h_path(n, pattern.ell)
-    if isinstance(pattern, StarForestPattern):
-        degrees = pattern.degrees
-        return lambda n: g_star_join(n, len(degrees), degrees[-1])
-    if isinstance(pattern, LinearForestPattern):
-        lengths = list(pattern.lengths)
-        if set(lengths) == {3}:
-            return lambda n: k_join_matching(n, len(lengths))
-        return lambda n: h_linear_forest(n, lengths)
-    ell = pattern.ell
-    if ell == 4:
-        return lambda n: star_graph(n - 1)
-    if ell == 5:
-        return lambda n: k_join_matching(n, 2)
-    if ell in (6, 7):
-        return lambda n: h_path(n, ell)
-    return None
-
-
 def test_closed_forms_are_the_e_p_of_the_families_hosts():
     # the closed forms and the families builders are two routes to one
     # number: a value exactly where a host is built, and its e_p
     compared = 0
     for text in GRID_TEXTS:
         pattern = parse_pattern(text)
-        build = host_builder(pattern)
         for n in range(65):
             try:
-                host = None if build is None else build(n)
+                host = extremal_host(pattern, n)
             except ValueError:
                 host = None
             for p in (2, 3, 4):
