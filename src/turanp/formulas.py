@@ -334,31 +334,30 @@ def exp_kP3(n: int, k: int, p: int) -> FormulaResult:
 def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
     """ex_p(n, B_{ell,s}) for ell in {4,5,6,7}.
 
+    s=0: B_{ell,0} = P_ell (patterns.unalias), so exp_path answers, its
+      value, window and source included.
     ell=4, s>=1: e_p(S_{n-1}), threshold unspecified.  No explicit
       window is proven here, and 2(s+4) is not one: every component of
       2K_5 u K_3 has fewer than the broom's s + 4 vertices, so it is
       B_{4,2}-free, and at n = 13 its e_2 is 172 against 156.
-    ell=5, s>=1: e_p(K_1 + M_{n-1}); otherwise e_p(H(n,ell)).  Windows:
-      n > (2s+10)^2, (2s+12)^2 and (3s+31)^2 for ell = 5, 6 and 7.
-    B_{ell,0} = P_ell, so s=0 values coincide with exp_path."""
+    ell=5, s>=1: e_p(K_1 + M_{n-1}); ell=6, 7: e_p(H(n,ell)).  Windows:
+      n > (2s+10)^2, (2s+12)^2 and (3s+31)^2 for ell = 5, 6 and 7."""
     check_power(p, 2)
     _need_shape("ell", 4, ell)
     _need_shape("s", 0, s)
     if ell > 7:
         raise ValueError("broom closed forms cover ell in {4,5,6,7}")
     _need_vertices(n)
+    if s == 0:
+        return exp_path(n, ell, p)
     if ell == 4:
-        if s == 0:
-            return exp_path(n, 4, p)
         _need_vertices(n, 1, "S_{n-1}")
         value = (n - 1) ** p + (n - 1)
         return FormulaResult(value, False, _UNSPECIFIED, "caro-yuster-2000")
     a, c = {5: (2, 10), 6: (2, 12), 7: (3, 31)}[ell]  # window n > (as+c)^2
     thr = (a * s + c) ** 2
-    if ell == 5 and s >= 1:
-        value = ep_k_join_matching_value(n, 2, p)
-    else:
-        value = ep_h_linear_forest_value(n, [ell], p)
+    value = (ep_k_join_matching_value(n, 2, p) if ell == 5
+             else ep_h_linear_forest_value(n, [ell], p))
     return FormulaResult(value, n > thr, f"n > ({a}s+{c})^2 = {thr}",
                          f"broom{ell}-degree-power-theorem")
 

@@ -1,15 +1,16 @@
 """Runnable verification suites: construction/formula identities, freeness
 certification, oracle agreement, lemma grids, rewrite properties, and the
 e_4 counterexample, plus verify_range, the oracle-against-closed-form
-grid behind `oracle --n-range`.  The oracle itself never imports the
-closed forms, so it stays an independent check on them.  The consistency
-and freeness checks are each one grid of pattern rows and one loop, and
-both grids read each pattern's host from families.extremal_host, the one
-pattern -> host table.  The CLI `verify` and `lemmas` subcommands drive
-the suites.  The pytest acceptance suite (criteria 1-6) checks the same
-identities at full grid sizes with its own loops and its own
-degree-multiset route; it shares only the sample lists and absorb_grid
-with this module.
+grid behind `oracle --n-range`.  The oracle never imports the closed
+forms, so it stays an independent check on them.  The consistency,
+freeness and oracle checks are each one grid of pattern rows and one
+loop: the first two read each host from families.extremal_host, and the
+oracle check, sharing verify_range's loop, compares max_ep with
+formulas.formula_for_pattern and holds no expected value of its own.
+The CLI `verify` and `lemmas` subcommands drive the suites.  The pytest
+acceptance suite (criteria 1-6) checks the same identities at full grid
+sizes with its own loops and its own degree-multiset route; it shares
+only the sample lists and absorb_grid with this module.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import families, formulas, oracle, patterns, rewrites
-from .graphs import disjoint_union, ep_value
+from .graphs import VERTEX_CAP, disjoint_union, ep_value
 
 LINEAR_FOREST_SAMPLES = [
     [4, 2], [5, 3], [2, 2], [3, 2], [4, 4], [5, 2],
@@ -29,6 +30,8 @@ STAR_FOREST_SAMPLES = [
 ]
 # the consistency check's star forests, on G(n,k,r_k) and on max_i G(n,i,r_i)
 STAR_FOREST_HOSTS = [(2, 2), (3, 2), (3, 3), (2, 2, 2)]
+# the path orders of the big-n degree-multiset route, so no big n is below 8
+BIG_N_PATHS = (4, 5, 6, 7, 8)
 
 DEFAULT_CONFIG = {
     "consistency.n_max": 30,
@@ -90,9 +93,15 @@ def validate_config(cfg: dict) -> None:
     for key, val in cfg.items():
         if any(v < 0 for v in (val if isinstance(val, list) else [val])):
             raise ConfigError(f"{key} must not be negative, got {val}")
-    if cfg["oracle.n_max"] > oracle.ORACLE_CAP:
-        raise ConfigError(f"oracle.n_max={cfg['oracle.n_max']} exceeds the "
-                          f"oracle cap {oracle.ORACLE_CAP}")
+    for key, cap, what in (("consistency.n_max", VERTEX_CAP, "vertex cap"),
+                           ("freeness.n_max", VERTEX_CAP, "vertex cap"),
+                           ("oracle.n_max", oracle.ORACLE_CAP, "oracle cap")):
+        if cfg[key] > cap:
+            raise ConfigError(f"{key}={cfg[key]} exceeds the {what} {cap}")
+    least = max(BIG_N_PATHS)
+    for n in cfg["consistency.big_n"]:
+        if n < least:
+            raise ConfigError(f"consistency.big_n entries must be >= {least}, got {n}")
 
 
 # ---------------------------------------------------------------------
@@ -147,7 +156,6 @@ def _host_grid(n_max: int, p_max: int) -> list[tuple]:
 def check_consistency(cfg: dict) -> CheckResult:
     n_max = cfg["consistency.n_max"]
     p_max = cfg["consistency.p_max"]
-    big_n = cfg["consistency.big_n"]
     bad: list[str] = []
     ran = 0
 
@@ -164,10 +172,9 @@ def check_consistency(cfg: dict) -> CheckResult:
                 res = formulas.formula_for_pattern(pattern, n, p)
                 expect(f"{pattern.text()} n={n} p={p}",
                        None if res is None else res.value, ep_value(host, p))
-    pvals = range(2, p_max + 1)
-    for n in big_n:
-        for p in pvals:
-            for ell in (4, 5, 6, 7, 8):
+    for n in cfg["consistency.big_n"]:
+        for p in range(2, p_max + 1):
+            for ell in BIG_N_PATHS:
                 expect(f"exp_path({n},{ell},{p})#multiset",
                        formulas.exp_path(n, ell, p).value,
                        _ms_ep(_ms_h_forest(n, [ell]), p))
@@ -242,38 +249,36 @@ def check_freeness(cfg: dict) -> CheckResult:
     return _result("freeness", ran, bad, "failures")
 
 
+def _oracle_vs_formula(pattern: patterns.ForestPattern, n_range, p_range):
+    """(n, p, oracle report, closed form or None): the one loop of both
+    check_oracle and verify_range."""
+    for n in n_range:
+        for p in p_range:
+            yield (n, p, oracle.max_ep(n, pattern, p),
+                   formulas.formula_for_pattern(pattern, n, p))
+
+
+def _oracle_grid(n_max: int) -> list[tuple]:
+    """(pattern, orders, powers, unique) rows on which the oracle's maximum
+    must equal formula_for_pattern's value, and be attained by one graph
+    up to isomorphism where ``unique`` is set."""
+    return ([(patterns.PathPattern(3), range(2, n_max + 1), (2, 3), True),
+             (patterns.StarForestPattern((1, 1)), range(5, n_max + 1), (2,), True)]
+            + [(patterns.PathPattern(ell), range(2, n_max + 1), (1,), False)
+               for ell in range(2, 7)]
+            + [(patterns.LinearForestPattern((2, 2)), range(5, n_max + 1), (1,), False)])
+
+
 def check_oracle(cfg: dict) -> CheckResult:
-    n_max = cfg["oracle.n_max"]
     bad: list[str] = []
     ran = 0
-    for n in range(2, n_max + 1):
-        for p in (2, 3):
+    for pattern, orders, powers, unique in _oracle_grid(cfg["oracle.n_max"]):
+        for n, p, rep, res in _oracle_vs_formula(pattern, orders, powers):
             ran += 1
-            rep = oracle.max_ep(n, patterns.PathPattern(3), p)
-            want = n - 1 if n % 2 == 1 else n
-            if rep.max_value != want or not rep.unique:
-                bad.append(f"P_3 n={n} p={p}: {rep.max_value} (want {want}), "
-                           f"unique={rep.unique}")
-    for n in range(5, n_max + 1):
-        ran += 1
-        rep = oracle.max_ep(n, patterns.StarForestPattern((1, 1)), 2)
-        want = (n - 1) ** 2 + (n - 1)
-        if rep.max_value != want or not rep.unique:
-            bad.append(f"2S_1 n={n}: {rep.max_value} (want {want}), "
-                       f"unique={rep.unique}")
-    for ell in range(2, 7):
-        for n in range(2, n_max + 1):
-            ran += 1
-            rep = oracle.max_ep(n, patterns.PathPattern(ell), 1)
-            want = formulas.ex_path(n, ell).value
-            if rep.edges != want:
-                bad.append(f"P_{ell} n={n}: {rep.edges} edges (want {want})")
-    for n in range(5, n_max + 1):
-        ran += 1
-        rep = oracle.max_ep(n, patterns.LinearForestPattern((2, 2)), 1)
-        want = formulas.ex_linear_forest(n, [2, 2]).value
-        if rep.edges != want:
-            bad.append(f"2P_2 n={n}: {rep.edges} edges (want {want})")
+            want = None if res is None else res.value
+            if rep.max_value != want or (unique and not rep.unique):
+                bad.append(f"{pattern.text()} n={n} p={p}: oracle {rep.max_value} "
+                           f"(formula {want}), unique={rep.unique}")
     return _result("oracle", ran, bad, "disagreements")
 
 
@@ -282,23 +287,16 @@ def verify_range(pattern: patterns.ForestPattern, n_range, p_range) -> list[dict
     the oracle value, the formula value (None where no formula applies),
     agreement, and the formula's window status.  Out-of-window rows may
     legitimately disagree; the table records it without judging."""
-    rows = []
-    for n in n_range:
-        for p in p_range:
-            rep = oracle.max_ep(n, pattern, p)
-            res = formulas.formula_for_pattern(pattern, n, p)
-            row = {
-                "pattern": pattern.text(),
-                "n": n,
-                "p": p,
-                "oracle": rep.max_value,
-                "formula": None if res is None else res.value,
-                "agree": None if res is None else res.value == rep.max_value,
-                "in_window": None if res is None else res.in_window,
-                "window": None if res is None else res.window,
-            }
-            rows.append(row)
-    return rows
+    return [{
+        "pattern": pattern.text(),
+        "n": n,
+        "p": p,
+        "oracle": rep.max_value,
+        "formula": None if res is None else res.value,
+        "agree": None if res is None else res.value == rep.max_value,
+        "in_window": None if res is None else res.in_window,
+        "window": None if res is None else res.window,
+    } for n, p, rep, res in _oracle_vs_formula(pattern, n_range, p_range)]
 
 
 def check_lemmas(cfg: dict) -> CheckResult:

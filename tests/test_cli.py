@@ -1,4 +1,5 @@
 """CLI: exit codes, JSON shapes, graph6 round-tripping, byte stability."""
+import dataclasses
 import io
 import json
 import os
@@ -323,6 +324,25 @@ def test_verify_config_cap_error(tmp_path, capsys):
     assert "unknown or malformed entry 'oracle.override = 1'" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ("consistency.big_n = 3", "consistency.big_n entries must be >= 8, got 3"),
+    ("consistency.n_max = 70", "consistency.n_max=70 exceeds the vertex cap 64"),
+    ("freeness.n_max = 65", "freeness.n_max=65 exceeds the vertex cap 64"),
+], ids=["big_n3", "consistency70", "freeness65"])
+def test_verify_config_rejects_values_beyond_the_builders(tmp_path, capsys,
+                                                          config, message):
+    # each would otherwise stop a check mid-run with a builder's error
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config + "\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    # the bounds themselves are accepted
+    turanp.verify.validate_config({**turanp.verify.DEFAULT_CONFIG,
+                                   "consistency.n_max": 64, "freeness.n_max": 64,
+                                   "consistency.big_n": [8]})
+
+
 def test_verify_empty_check_fails(tmp_path, capsys):
     # oracle.n_max = 1 leaves the oracle check with nothing to run
     cfg = tmp_path / "empty.cfg"
@@ -358,7 +378,7 @@ def test_verify_missing_config_file(tmp_path, capsys):
 
 
 # each grid's instance count at configs other than the default, so a row
-# dropped from the pattern -> host grids fails here
+# dropped from the pattern -> host grids or the oracle grid fails here
 @pytest.mark.parametrize("config, want", [
     # n_max = 8 is below most samples' orders: each runs at its own order
     ("freeness.n_max = 8", {"freeness": 59}),
@@ -368,7 +388,10 @@ def test_verify_missing_config_file(tmp_path, capsys):
     ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 295, "freeness": 22}),
     ("consistency.n_max = 40\nfreeness.n_max = 30",
      {"consistency": 2033, "freeness": 351}),
-], ids=["freeness8", "narrow", "p0", "wide"])
+    ("oracle.n_max = 2", {"oracle": 7}),
+    ("oracle.n_max = 5", {"oracle": 30}),
+    ("oracle.n_max = 9", {"oracle": 66}),
+], ids=["freeness8", "narrow", "p0", "wide", "oracle2", "oracle5", "oracle9"])
 def test_verify_freeness_below_sample_orders(tmp_path, capsys, config, want):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(config + "\n")
@@ -403,6 +426,26 @@ def test_verify_rewrites_needs_site_discovery(monkeypatch, capsys):
     assert obj["pass"] is False
     assert obj["detail"].startswith("50 instances, 50 failures; first: "
                                     "edge#0: planted site not found")
+
+
+@pytest.mark.parametrize("alter, want", [
+    # every instance compares the oracle's maximum with the closed form
+    (lambda rep: dataclasses.replace(rep, max_value=rep.max_value + 1),
+     "39 instances, 39 disagreements; first: "
+     "path:3 n=2 p=2: oracle 3 (formula 2), unique=True"),
+    # the P_3 and 2S_1 rows also need one maximizer
+    (lambda rep: dataclasses.replace(rep, unique=False),
+     "39 instances, 12 disagreements; first: "
+     "path:3 n=2 p=2: oracle 2 (formula 2), unique=False"),
+], ids=["off_by_one", "not_unique"])
+def test_verify_oracle_needs_the_oracle(monkeypatch, capsys, alter, want):
+    max_ep = turanp.oracle.max_ep
+    monkeypatch.setattr(turanp.oracle, "max_ep",
+                        lambda n, pattern, p: alter(max_ep(n, pattern, p)))
+    code, out, _ = run(capsys, "verify", "--only", "oracle")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["pass"] is False and obj["detail"] == want
 
 
 def test_verify_default_suite(capsys):

@@ -197,7 +197,8 @@ def test_exp_broom():
             assert exp_broom(n, 7, s, 3).value == exp_path(n, 7, 3).value
     assert exp_broom(20, 4, 0, 2).value == exp_path(20, 4, 2).value
     assert exp_broom(20, 5, 0, 2).value == exp_path(20, 5, 2).value
-    assert exp_broom(200, 6, 0, 2).in_window  # n > 144
+    # B_{6,0} = P_6: exp_path answers, window included
+    assert exp_broom(200, 6, 0, 2).to_json() == exp_path(200, 6, 2).to_json()
     with pytest.raises(ValueError):
         exp_broom(20, 8, 1, 2)
     with pytest.raises(ValueError):
@@ -442,6 +443,26 @@ def test_formula_for_pattern():
     # classical broom formula out of domain -> no formula
     assert formula_for_pattern(BroomPattern(4, 2), 5, 1) is None
     assert isinstance(formula_for_pattern(PathPattern(4), 9, 2), FormulaResult)
+
+
+def test_an_aliased_shape_gets_one_answer_from_every_entry_point():
+    # B_{ell,0} = P_ell: exp_broom and the pattern route agree in value,
+    # window, source and meta, not only in value
+    for ell in range(4, 8):
+        for n in range(ell, 1001):
+            for p in range(2, 5):
+                assert (exp_broom(n, ell, 0, p).to_json()
+                        == formula_for_pattern(BroomPattern(ell, 0), n, p).to_json()), (ell, n, p)
+    # a one-path linear forest is a path, at p = 1 too (e_1 = 2|E|)
+    for n in range(1001):
+        for ell in range(2, 8):
+            res = ex_linear_forest(n, [ell])
+            via = formula_for_pattern(LinearForestPattern((ell,)), n, 1)
+            assert (2 * res.value, res.in_window) == (via.value, via.in_window), (ell, n)
+        if n >= 1:
+            res = ex_kP3(n, 1)
+            via = formula_for_pattern(LinearForestPattern((3,)), n, 1)
+            assert (2 * res.value, res.in_window) == (via.value, via.in_window), n
 
 
 GRID_TEXTS = ([f"path:{l}" for l in range(2, 8)] + [f"star:{r}" for r in range(1, 5)]
