@@ -9,7 +9,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphCapError, VERTEX_CAP, disjoint_union, join
+from .graphs import Graph, GraphCapError, VERTEX_CAP, check_power, disjoint_union, join
 from .patterns import (ForestPattern, LinearForestPattern, PathPattern,
                        StarForestPattern, StarPattern, unalias)
 
@@ -189,30 +189,57 @@ def unbalanced_bipartite(n: int) -> Graph:
     return join(empty_graph(small), empty_graph(n - small))
 
 
-def extremal_host(pattern: ForestPattern, n: int) -> Graph | None:
+def extremal_host(pattern: ForestPattern, n: int, p: int) -> Graph | None:
     """The graph on n vertices whose e_p formulas.formula_for_pattern gives
-    for the pattern at p >= 2, or None where no closed form is known
-    (brooms with ell outside 4..7 and s >= 1).  Below the host's order
-    its builder raises ValueError."""
+    for the pattern at the power p, or None where no closed form is known;
+    at p = 1 (ex_1 = 2 ex) paths, star forests and brooms have their
+    classical one.  Below the host's order its builder raises ValueError."""
+    check_power(p)
     pattern = unalias(pattern)
     if isinstance(pattern, PathPattern) and pattern.ell <= 3:
         pattern = StarPattern(pattern.ell - 1)  # P_2 = S_1 and P_3 = S_2
     if isinstance(pattern, StarPattern):
         d = pattern.r - 1
         return complete_graph(n) if n <= d else near_regular(n, d)
-    if isinstance(pattern, PathPattern):
-        return h_path(n, pattern.ell)
-    if isinstance(pattern, StarForestPattern):
-        return g_star_join(n, len(pattern.degrees), pattern.degrees[-1])
     if isinstance(pattern, LinearForestPattern):
         if set(pattern.lengths) == {3}:
             return k_join_matching(n, len(pattern.lengths))
         return h_linear_forest(n, list(pattern.lengths))
+    if p == 1:
+        return _classical_host(pattern, n)
+    if isinstance(pattern, PathPattern):
+        return h_path(n, pattern.ell)
+    if isinstance(pattern, StarForestPattern):
+        return g_star_join(n, len(pattern.degrees), pattern.degrees[-1])
     if pattern.ell == 4:  # a broom with s >= 1
         return star_graph(n - 1)
     if pattern.ell == 5:
         return k_join_matching(n, 2)
     return h_path(n, pattern.ell) if pattern.ell in (6, 7) else None
+
+
+def _classical_host(pattern: ForestPattern, n: int) -> Graph | None:
+    """The extremal graph of ex(n, F), from n and F alone: cliques K_{ell-1}
+    for P_ell, the densest G(n,i,r_i) for star forests, and for B_{ell,s}
+    cliques K_{ell+s-1} and K_b (n = a(ell+s-1)+b), at ell = 4 the denser of
+    those and the graph with a near (s+1)-regular part for one K_{ell+s-1}
+    and K_b.  None for ell >= 6 and for B_{5,s} where 1 <= b <= s."""
+    if isinstance(pattern, PathPattern):
+        return clique_union(n // (pattern.ell - 1), pattern.ell - 1, n % (pattern.ell - 1))
+    if isinstance(pattern, StarForestPattern):
+        return max((g_star_join(n, i, r) for i, r in enumerate(pattern.degrees, 1)),
+                   key=Graph.edge_count)
+    ell, s = pattern.ell, pattern.s
+    if ell > 5:
+        return None
+    size = ell + s - 1
+    if n <= size:
+        raise ValueError(f"B_{{{ell},{s}}} host needs n > {size} (got n={n})")
+    a, b = divmod(n, size)
+    if ell == 5:
+        return None if 1 <= b <= s else clique_union(a, size, b)
+    near = disjoint_union(clique_union(a - 1, size, 0), near_regular(size + b, s + 1))
+    return max(clique_union(a, size, b), near, key=Graph.edge_count)
 
 
 # ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ raises BelowDomain, with the bound the construction's builder enforces.  When a 
 threshold is only "n sufficiently large" with no explicit constant,
 in_window is False for every n and the window text says so; we never
 invent one.  Shape parameters (r, k, s, ell, star degrees, path orders)
-pass one gate, _need_shape, as n passes _need_vertices.
+pass one gate, graphs.check_shape, as n passes _need_vertices.
 
 All division is integer floor division, matching the floor notation of
 the source results; decompositions like n = a(ell-1)+b are recomputed
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .graphs import check_power
+from .graphs import check_power, check_shape
 from .patterns import (
     BroomPattern,
     ForestPattern,
@@ -101,16 +101,6 @@ def _need_vertices(n: int, order: int = 0, host: str = "") -> None:
         raise BelowDomain(f"{host} needs n >= {order}, got n={n}")
 
 
-def _need_shape(name: str, least: int, *values) -> None:
-    """Reject a shape parameter (r, k, s, ell, a star degree or a path
-    order) that is not an int (a bool included) or is below ``least``."""
-    for v in values:
-        if type(v) is not int:
-            raise TypeError(f"{name} must be an int, got {type(v).__name__}")
-        if v < least:
-            raise ValueError(f"need {name} >= {least}")
-
-
 # ---------------------------------------------------------------------
 # classical Turan numbers
 # ---------------------------------------------------------------------
@@ -119,7 +109,7 @@ def ex_path(n: int, ell: int) -> FormulaResult:
     """ex(n, P_ell) = a*C(ell-1,2) + C(b,2) with n = a(ell-1)+b,
     0 <= b < ell-1.  Exact for every n."""
     _need_vertices(n)
-    _need_shape("ell", 2, ell)
+    check_shape("ell", 2, ell)
     a, b = divmod(n, ell - 1)
     value = a * comb(ell - 1, 2) + comb(b, 2)
     return FormulaResult(value, True, "all n", "faudree-schelp-1975",
@@ -129,7 +119,7 @@ def ex_path(n: int, ell: int) -> FormulaResult:
 def eg_bound(n: int, ell: int) -> int:
     """Upper bound ex(n, P_ell) <= (ell/2 - 1) n, floored."""
     _need_vertices(n)
-    _need_shape("ell", 2, ell)
+    check_shape("ell", 2, ell)
     return n * (ell - 2) // 2
 
 
@@ -138,8 +128,8 @@ def ex_linear_forest(n: int, lengths) -> FormulaResult:
     b = sum(floor(l_i/2)) - 1 and c = 1 iff every l_i is odd.  Not
     applicable to kP_3 with k >= 2 (use ex_kP3)."""
     lengths = sorted(lengths, reverse=True)
-    _need_shape("path order", 2, *lengths)
-    _need_shape("k", 1, len(lengths))
+    check_shape("path order", 2, *lengths)
+    check_shape("k", 1, len(lengths))
     if len(lengths) == 1:
         return ex_path(n, lengths[0])
     if all(l == 3 for l in lengths):
@@ -168,7 +158,7 @@ def ex_linear_forest(n: int, lengths) -> FormulaResult:
 
 def ex_kP3(n: int, k: int) -> FormulaResult:
     """ex(n, kP_3) = C(k-1,2) + (k-1)(n-k+1) + floor((n-k+1)/2)."""
-    _need_shape("k", 1, k)
+    check_shape("k", 1, k)
     _need_vertices(n, k, "K_{k-1}+M_{n-k+1}")
     value = comb(k - 1, 2) + (k - 1) * (n - k + 1) + (n - k + 1) // 2
     if k == 1:
@@ -181,8 +171,8 @@ def ex_star_forest(n: int, degrees) -> FormulaResult:
     """ex(n, union of stars S_{r_1..r_k}) = max over 1 <= i <= k of
     (i-1)(n-i+1) + C(i-1,2) + floor((r_i-1)(n-i+1)/2)."""
     degrees = sorted(degrees, reverse=True)
-    _need_shape("star degree", 1, *degrees)
-    _need_shape("k", 1, len(degrees))
+    check_shape("star degree", 1, *degrees)
+    check_shape("k", 1, len(degrees))
     # G(n,i,r_i) needs n-i+1 > r_i-1
     _need_vertices(n, max(i + r for i, r in enumerate(degrees)), "G(n,i,r_i)")
     vals = []
@@ -198,7 +188,7 @@ def ex_star_forest(n: int, degrees) -> FormulaResult:
 
 def ex_broom4(n: int, s: int) -> FormulaResult:
     """ex(n, B_{4,s}) for s >= 1, n >= s+4 (exact in that range)."""
-    _need_shape("s", 1, s)  # B_{4,0} is P_4: use ex_path
+    check_shape("s", 1, s)  # B_{4,0} is P_4: use ex_path
     _need_vertices(n, s + 4, "ex(n, B_{4,s})")
     a, b = divmod(n, s + 3)
     if s >= 3 and 2 <= b <= s:
@@ -215,7 +205,7 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
     """ex(n, B_{5,s}) for s >= 1, n >= s+5.  Closed for
     b in {0, s+1, s+2, s+3}; for 1 <= b <= s only the reduction
     (a-1)*C(s+4,2) + ex(s+4+b, B_{5,s}) is known, returned structurally."""
-    _need_shape("s", 1, s)  # B_{5,0} is P_5: use ex_path
+    check_shape("s", 1, s)  # B_{5,0} is P_5: use ex_path
     _need_vertices(n, s + 5, "ex(n, B_{5,s})")
     a, b = divmod(n, s + 4)
     window = f"n >= s+5 = {s + 5}"
@@ -234,8 +224,8 @@ def ex_broom5_partial(n: int, s: int) -> FormulaResult | UnspecifiedBase:
 def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
     """e_p(H(n,F)) straight from the degree multiset of H(n,F)."""
     check_power(p)
-    _need_shape("path order", 2, *lengths)
-    _need_shape("k", 1, len(lengths))
+    check_shape("path order", 2, *lengths)
+    check_shape("k", 1, len(lengths))
     _need_vertices(n, sum(lengths), "H(n,F)")
     b = sum(l // 2 for l in lengths) - 1
     if all(l % 2 == 1 for l in lengths):
@@ -246,7 +236,7 @@ def ep_h_linear_forest_value(n: int, lengths, p: int) -> int:
 def ep_k_join_matching_value(n: int, k: int, p: int) -> int:
     """e_p(K_{k-1} + M_{n-k+1}) from its degree multiset."""
     check_power(p)
-    _need_shape("k", 1, k)
+    check_shape("k", 1, k)
     _need_vertices(n, k, "K_{k-1}+M_{n-k+1}")
     m = n - k + 1
     return ((k - 1) * (n - 1) ** p + 2 * (m // 2) * k ** p
@@ -256,7 +246,7 @@ def ep_k_join_matching_value(n: int, k: int, p: int) -> int:
 def exp_path(n: int, ell: int, p: int) -> FormulaResult:
     """ex_p(n, P_ell): exact classic values for ell in {2,3} (all n);
     e_p(H(n,ell)) for ell >= 4 and sufficiently large n."""
-    _need_shape("ell", 2, ell)
+    check_shape("ell", 2, ell)
     _need_vertices(n)
     check_power(p, 1 if ell <= 3 else 2)
     if ell <= 3:
@@ -271,7 +261,7 @@ def exp_path(n: int, ell: int, p: int) -> FormulaResult:
 def exp_star(n: int, r: int, p: int) -> FormulaResult:
     """ex_p(n, S_r), exact for every n and p >= 1."""
     check_power(p)
-    _need_shape("r", 1, r)
+    check_shape("r", 1, r)
     _need_vertices(n)
     if n <= r - 1:
         value = n * (n - 1) ** p
@@ -294,7 +284,7 @@ def exp_star_forest(n: int, degrees, p: int) -> FormulaResult:
     degrees = sorted(degrees, reverse=True)
     if len(degrees) < 2:
         raise ValueError("need k >= 2 stars (use exp_star for one star)")
-    _need_shape("star degree", 1, *degrees)
+    check_shape("star degree", 1, *degrees)
     k = len(degrees)
     rk = degrees[-1]
     _need_vertices(n, k + rk - 1, "G(n,k,r_k)")
@@ -314,7 +304,7 @@ def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
     lengths = sorted(lengths, reverse=True)
     if len(lengths) < 2:
         raise ValueError("need k >= 2 paths (use exp_path for one path)")
-    _need_shape("path order", 2, *lengths)
+    check_shape("path order", 2, *lengths)
     if all(l == 3 for l in lengths):
         raise ValueError("all components are P_3: use exp_kP3")
     value = ep_h_linear_forest_value(n, lengths, p)
@@ -326,7 +316,7 @@ def exp_linear_forest(n: int, lengths, p: int) -> FormulaResult:
 def exp_kP3(n: int, k: int, p: int) -> FormulaResult:
     """ex_p(n, kP_3) = e_p(K_{k-1} + M_{n-k+1}) for sufficiently large n."""
     check_power(p, 2)
-    _need_shape("k", 2, k)  # P_3 is the k = 1 case: use exp_path
+    check_shape("k", 2, k)  # P_3 is the k = 1 case: use exp_path
     value = ep_k_join_matching_value(n, k, p)
     return FormulaResult(value, False, _UNSPECIFIED, "kp3-degree-power-corollary")
 
@@ -343,8 +333,8 @@ def exp_broom(n: int, ell: int, s: int, p: int) -> FormulaResult:
     ell=5, s>=1: e_p(K_1 + M_{n-1}); ell=6, 7: e_p(H(n,ell)).  Windows:
       n > (2s+10)^2, (2s+12)^2 and (3s+31)^2 for ell = 5, 6 and 7."""
     check_power(p, 2)
-    _need_shape("ell", 4, ell)
-    _need_shape("s", 0, s)
+    check_shape("ell", 4, ell)
+    check_shape("s", 0, s)
     if ell > 7:
         raise ValueError("broom closed forms cover ell in {4,5,6,7}")
     _need_vertices(n)
@@ -367,7 +357,7 @@ def exp_turan_clique(n: int, r: int, p: int) -> FormulaResult:
     unbalanced complete bipartite graphs can beat the Turan graph)."""
     _need_vertices(n)
     check_power(p)
-    _need_shape("r", 1, r)
+    check_shape("r", 1, r)
     q, rem = divmod(n, r)
     sizes = [q + 1] * rem + [q] * (r - rem)
     value = sum(size * (n - size) ** p for size in sizes)
@@ -397,7 +387,7 @@ def lemma_superadd_check(ell: int, n1: int, n2: int, p: int,
     e_p(X(n1)) + e_p(X(n2)) < e_p(X(n1+n2)) where X is K_1+M_{n-1}
     (variant "a", ell=5) or H(n,ell) (variant "b", ell >= 5)."""
     check_power(p, 2)
-    _need_shape("ell", 5, ell)
+    check_shape("ell", 5, ell)
     ep_host = _lemma_host(ell, variant)
     if min(n1, n2) < ell:
         raise ValueError("need n1, n2 >= ell >= 5")
@@ -411,9 +401,9 @@ def lemma_absorb_check(ell: int, s: int, h: int, hstar: int, d: int, p: int,
     max degree <= d (so e_p(G*) <= hstar * d**p, the worst case checked
     here), e_p(X(h)) + e_p(G*) < e_p(X(n))."""
     check_power(p, 2)
-    _need_shape("ell", 5, ell)
-    _need_shape("s", 0, s)
-    _need_shape("d", 0, d)
+    check_shape("ell", 5, ell)
+    check_shape("s", 0, s)
+    check_shape("d", 0, d)
     ep_host = _lemma_host(ell, variant)
     n = h + hstar
     if hstar <= 0 or h < ell:

@@ -221,6 +221,16 @@ def check_power(p: int, least: int = 1) -> None:
         raise ValueError(f"need p >= {least}")
 
 
+def check_shape(name: str, least: int, *values) -> None:
+    """The one test of a shape parameter (r, k, s, ell, a star degree or
+    a path order): an int (not a bool) of at least ``least``."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{name} must be an int, got {type(v).__name__}")
+        if v < least:
+            raise ValueError(f"need {name} >= {least}")
+
+
 def ep_value(g: Graph, p: int) -> int:
     """Sum of the p-th powers of all vertex degrees, exactly."""
     check_power(p)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, iter_bits, lower_twins
+from .graphs import Graph, check_shape, iter_bits, lower_twins
 
 
 class Unknown:
@@ -114,8 +114,7 @@ class PathPattern(ForestPattern):
     ell: int
 
     def __post_init__(self):
-        if self.ell < 2:
-            raise ValueError("path pattern needs ell >= 2")
+        check_shape("ell", 2, self.ell)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(self.ell - 1)]
@@ -129,8 +128,8 @@ class LinearForestPattern(ForestPattern):
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.lengths or any(l < 2 for l in self.lengths):
-            raise ValueError("linear forest needs path orders >= 2")
+        check_shape("k", 1, len(self.lengths))
+        check_shape("path order", 2, *self.lengths)
         object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
 
     def edge_list(self) -> list[tuple[int, int]]:
@@ -150,8 +149,7 @@ class StarPattern(ForestPattern):
     r: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("star pattern needs r >= 1")
+        check_shape("r", 1, self.r)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [(0, i) for i in range(1, self.r + 1)]
@@ -165,8 +163,8 @@ class StarForestPattern(ForestPattern):
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.degrees or any(r < 1 for r in self.degrees):
-            raise ValueError("star forest needs star degrees >= 1")
+        check_shape("k", 1, len(self.degrees))
+        check_shape("star degree", 1, *self.degrees)
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees, reverse=True)))
 
     def edge_list(self) -> list[tuple[int, int]]:
@@ -187,8 +185,8 @@ class BroomPattern(ForestPattern):
     s: int
 
     def __post_init__(self):
-        if self.ell < 4 or self.s < 0:
-            raise ValueError("broom pattern needs ell >= 4, s >= 0")
+        check_shape("ell", 4, self.ell)
+        check_shape("s", 0, self.s)
 
     def edge_list(self) -> list[tuple[int, int]]:
         edges = [(i, i + 1) for i in range(self.ell - 1)]
@@ -221,8 +219,6 @@ def parse_pattern(text: str) -> ForestPattern:
             return BroomPattern(ell, s)
         if tag == "kpath":
             k, ell = (int(x) for x in rest.split("x"))
-            if k < 1:
-                raise ValueError("kpath needs k >= 1")
             return LinearForestPattern((ell,) * k)
     except ValueError as exc:
         raise ValueError(f"pattern {text!r}: {exc}") from exc
@@ -296,8 +292,8 @@ def _paths(rows: list[int], lower: list[int], order: int, avail: int, bud: _Budg
 def contains_linear_forest(g: Graph, lengths, budget: int | None = None):
     """True iff g contains vertex-disjoint paths of the given orders."""
     lengths = sorted(lengths, reverse=True)
-    if not lengths or any(l < 2 for l in lengths):
-        raise ValueError("path orders must all be >= 2")
+    check_shape("k", 1, len(lengths))
+    check_shape("path order", 2, *lengths)
     bud = _Budget(budget)
     rows, kept, lower = _collapse_twins(g, sum(lengths))
     if kept.bit_count() < sum(lengths):
@@ -342,8 +338,8 @@ def contains_star_forest(g: Graph, degrees, budget: int | None = None):
     down in a local copy of the budget's limit, which is cheaper than a
     call per step."""
     degrees = sorted(degrees, reverse=True)
-    if not degrees or any(r < 1 for r in degrees):
-        raise ValueError("star degrees must all be >= 1")
+    check_shape("k", 1, len(degrees))
+    check_shape("star degree", 1, *degrees)
     bud = _Budget(budget)
     rows, kept, lower = _collapse_twins(g, sum(degrees) + len(degrees))
     if kept.bit_count() < sum(degrees) + len(degrees):
@@ -427,8 +423,8 @@ def contains_broom(g: Graph, ell: int, s: int, budget: int | None = None):
     """True iff g contains a path v_1..v_ell plus s further neighbours of
     v_{ell-1} outside the path, that is a path on ell - 1 vertices whose
     end has more than s neighbours off it."""
-    if ell < 4 or s < 0:
-        raise ValueError("broom needs ell >= 4, s >= 0")
+    check_shape("ell", 4, ell)
+    check_shape("s", 0, s)
     bud = _Budget(budget)
     rows, kept, lower = _collapse_twins(g, ell + s)
     if kept.bit_count() < ell + s:

@@ -4,7 +4,8 @@ e_4 counterexample, plus verify_range, the oracle-against-closed-form
 grid behind `oracle --n-range`.  The oracle never imports the closed
 forms, so it stays an independent check on them.  The consistency,
 freeness and oracle checks are each one grid of pattern rows and one
-loop: the first two read each host from families.extremal_host, and the
+loop: the first two read each host from families.extremal_host (the
+consistency check from p = 1, the classical extremal graphs, on); the
 oracle check, sharing verify_range's loop, compares max_ep with
 formulas.formula_for_pattern and holds no expected value of its own.
 The CLI `verify` and `lemmas` subcommands drive the suites.  The pytest
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import families, formulas, oracle, patterns, rewrites
-from .graphs import VERTEX_CAP, disjoint_union, ep_value
+from .graphs import VERTEX_CAP, ep_value
 
 LINEAR_FOREST_SAMPLES = [
     [4, 2], [5, 3], [2, 2], [3, 2], [4, 4], [5, 2],
@@ -28,7 +29,7 @@ STAR_FOREST_SAMPLES = [
     [1, 1], [2, 1], [2, 2], [3, 2], [3, 3],
     [2, 2, 2], [3, 1], [2, 2, 1, 1], [3, 2, 1], [2, 2, 1],
 ]
-# the consistency check's star forests, on G(n,k,r_k) and on max_i G(n,i,r_i)
+# the consistency check's star forests, on G(n,k,r_k) and the densest G(n,i,r_i)
 STAR_FOREST_HOSTS = [(2, 2), (3, 2), (3, 3), (2, 2, 2)]
 # the path orders of the big-n degree-multiset route, so no big n is below 8
 BIG_N_PATHS = (4, 5, 6, 7, 8)
@@ -128,50 +129,51 @@ def _ms_ep(ms: list[tuple[int, int]], p: int) -> int:
 # checks
 # ---------------------------------------------------------------------
 
-def _host_grid(n_max: int, p_max: int) -> list[tuple]:
-    """(pattern, orders, powers) rows on which a closed form is compared
-    with e_p of the pattern's families.extremal_host.  At p = 1 that is
-    twice the classical Turan number against 2|E| of the same host; star
-    forests, whose classical extremal graph is another one, skip p = 1
-    here and keep their own route in check_consistency."""
-    high = range(2, p_max + 1)
-    every = range(1, p_max + 1)
-    edges = range(1, max(p_max, 1) + 1)  # the edge count even at p_max = 0
-    rows = [(patterns.PathPattern(ell), range(ell, n_max + 1), high)
-            for ell in (4, 5, 6, 7, 8)]
-    rows.append((patterns.PathPattern(3), range(2, n_max + 1), every))
-    rows += [(patterns.LinearForestPattern(lengths), range(sum(lengths), n_max + 1, 3),
-              edges) for lengths in ((4, 2), (5, 3), (2, 2), (4, 3))]
+def _host_grid(n_max: int) -> list[tuple]:
+    """(pattern, orders) rows on which a closed form is compared with e_p
+    of the pattern's families.extremal_host: every order for paths and
+    brooms, every second or third order for the rest."""
+    rows = [(patterns.PathPattern(ell), range(n_max + 1)) for ell in range(3, 9)]
+    rows += [(patterns.LinearForestPattern(lengths), range(sum(lengths), n_max + 1, 3))
+             for lengths in ((4, 2), (5, 3), (2, 2), (4, 3))]
     rows += [(patterns.StarForestPattern(degrees),
-              range(sum(degrees) + len(degrees), n_max + 1, 3), high)
+              range(sum(degrees) + len(degrees), n_max + 1, 3))
              for degrees in STAR_FOREST_HOSTS]
-    rows += [(patterns.LinearForestPattern((3,) * k), range(max(k, 5), n_max + 1, 2),
-              edges) for k in (2, 3)]
-    rows += [(patterns.StarPattern(r), range(2, n_max + 1, 3), every) for r in (2, 3, 5)]
-    rows += [(patterns.BroomPattern(ell, s), range(2 * (s + 4) - 2, n_max + 1, 3), high)
-             for s in (1, 2, 3) for ell in (4, 5)]
+    rows += [(patterns.LinearForestPattern((3,) * k), range(max(k, 5), n_max + 1, 2))
+             for k in (2, 3)]
+    rows += [(patterns.StarPattern(r), range(2, n_max + 1, 3)) for r in (2, 3, 5)]
+    # s = 4: the first B_{4,s} whose clique and near-regular hosts differ
+    rows += [(patterns.BroomPattern(ell, s), range(s + 4, n_max + 1))
+             for s in (1, 2, 3, 4) for ell in (4, 5)]
     return rows
 
 
 def check_consistency(cfg: dict) -> CheckResult:
+    """The host grid at p = 1..max(p_max, 1), then the big-n multiset
+    route and the Turan graphs (K_{r+1} is not a forest: it has no host)."""
     n_max = cfg["consistency.n_max"]
     p_max = cfg["consistency.p_max"]
     bad: list[str] = []
     ran = 0
 
-    def expect(label: str, got: int, want: int) -> None:
+    def expect(label: str, got: int | None, want: int | None) -> None:
         nonlocal ran
         ran += 1
         if got != want:
             bad.append(f"{label}: formula {got} != construction {want}")
 
-    for pattern, orders, powers in _host_grid(n_max, p_max):
+    for pattern, orders in _host_grid(n_max):
         for n in orders:
-            host = families.extremal_host(pattern, n)
-            for p in powers:
+            for p in range(1, max(p_max, 1) + 1):
+                try:
+                    host = families.extremal_host(pattern, n, p)
+                except ValueError:  # n is below the host's order
+                    host = None
                 res = formulas.formula_for_pattern(pattern, n, p)
-                expect(f"{pattern.text()} n={n} p={p}",
-                       None if res is None else res.value, ep_value(host, p))
+                if host is not None or res is not None:
+                    expect(f"{pattern.text()} n={n} p={p}",
+                           None if res is None else res.value,
+                           None if host is None else ep_value(host, p))
     for n in cfg["consistency.big_n"]:
         for p in range(2, p_max + 1):
             for ell in BIG_N_PATHS:
@@ -182,44 +184,17 @@ def check_consistency(cfg: dict) -> CheckResult:
                 expect(f"exp_broom({n},5,{s},{p})#multiset",
                        formulas.exp_broom(n, 5, s, p).value,
                        _ms_ep(_ms_k_join_matching(n, 2), p))
-    for degrees in STAR_FOREST_HOSTS:
-        for n in range(sum(degrees) + len(degrees), n_max + 1, 3):
-            best = max(families.g_star_join(n, i, degrees[i - 1]).edge_count()
-                       for i in range(1, len(degrees) + 1))
-            expect(f"ex_star_forest({n},{list(degrees)})",
-                   formulas.ex_star_forest(n, degrees).value, best)
     for r in (1, 2, 3):
         for n in range(r, n_max + 1, 3):
             g = families.turan_graph(n, r)
             for p in range(1, p_max + 1):
                 expect(f"exp_turan({n},{r},{p})",
                        formulas.exp_turan_clique(n, r, p).value, ep_value(g, p))
-    for ell in (3, 4, 5):
-        for n in range(0, n_max + 1):
-            res = formulas.ex_path(n, ell)
-            g = families.clique_union(res.meta["a"], ell - 1, res.meta["b"])
-            expect(f"ex_path({n},{ell})", res.value, g.edge_count())
-    for s in (1, 3, 4):
-        for n in range(s + 4, n_max + 1):
-            res = formulas.ex_broom4(n, s)
-            a, b = res.meta["a"], res.meta["b"]
-            if res.meta["case"] == "near-regular":
-                g = disjoint_union(families.clique_union(a - 1, s + 3, 0),
-                                   families.near_regular(s + 3 + b, s + 1))
-            else:
-                g = families.clique_union(a, s + 3, b)
-            expect(f"ex_broom4({n},{s})", res.value, g.edge_count())
-    for s in (1, 2):
-        for n in range(s + 5, n_max + 1):
-            res = formulas.ex_broom5_partial(n, s)
-            if isinstance(res, formulas.FormulaResult):
-                g = families.clique_union(res.meta["a"], s + 4, res.meta["b"])
-                expect(f"ex_broom5({n},{s})", res.value, g.edge_count())
     return _result("consistency", ran, bad, "mismatches")
 
 
 def _freeness_grid(n_max: int) -> list[tuple]:
-    """(pattern, orders) rows on which the pattern's families.extremal_host
+    """(pattern, orders) rows on which the pattern's p >= 2 extremal_host
     is certified free: every order for paths, three sampled orders for
     the linear and star forest samples, every other order for brooms."""
     def sampled(lo: int) -> list[int]:
@@ -242,7 +217,7 @@ def check_freeness(cfg: dict) -> CheckResult:
     for pattern, orders in _freeness_grid(cfg["freeness.n_max"]):
         for n in orders:
             ran += 1
-            res = patterns.is_free(families.extremal_host(pattern, n), pattern)
+            res = patterns.is_free(families.extremal_host(pattern, n, 2), pattern)
             if res is not True:
                 bad.append(f"{pattern.text()} host at n={n}: expected free, "
                            f"got {res!r}")

@@ -16,6 +16,7 @@ from turanp.graphs import (
     ep_value,
     g6_decode,
     g6_encode,
+    g6_from_code,
 )
 
 from helpers import all_graphs, dominates
@@ -561,13 +562,16 @@ def test_criterion_7d_oracle_determinism():
               "battery (n <= 9, p <= 3) and reruns identically", bad)
 
 
-def golden_values():
-    """{(pattern text, n, p): max_value} of the golden table."""
-    ex = {}
+def golden_points():
+    """(key, pattern text, n, p, entry) for every golden table entry."""
     for key, entry in json.loads(GOLDEN_ORACLE.read_text())["entries"].items():
         text, n, p = key.split("|")
-        ex[text, int(n.removeprefix("n=")), int(p.removeprefix("p="))] = entry["max_value"]
-    return ex
+        yield key, text, int(n.removeprefix("n=")), int(p.removeprefix("p=")), entry
+
+
+def golden_values():
+    """{(pattern text, n, p): max_value} of the golden table."""
+    return {(text, n, p): entry["max_value"] for _, text, n, p, entry in golden_points()}
 
 
 def test_criterion_7e_golden_table_obeys_laws():
@@ -632,6 +636,50 @@ def test_criterion_7f_closed_forms_are_lower_bounds():
               "form, and none exceeds the oracle's maximum", bad)
 
 
+def test_criterion_7f_in_window_closed_forms_equal_the_maximum():
+    """Inside its window a closed form claims ex_p itself, so on the
+    golden grid it equals the oracle's maximum, not just stays below it."""
+    bad = []
+    compared = 0
+    for key, text, n, p, entry in golden_points():
+        form = formulas.formula_for_pattern(patterns.parse_pattern(text), n, p)
+        if form is not None and form.in_window:
+            compared += 1
+            if form.value != entry["max_value"]:
+                bad.append(f"{key}: in-window formula {form.value} != "
+                           f"ex_p {entry['max_value']}")
+    if compared != 89:
+        bad.append(f"{compared} in-window closed forms on the golden grid, expected 89")
+    report(7, f"criterion 7f: {compared} in-window closed forms equal the "
+              "oracle's maximum", bad)
+
+
+def test_criterion_7f_tied_hosts_are_listed_maximizers():
+    """Where the pattern's families.extremal_host reaches the golden
+    maximum, it is a maximizer, so the golden list, which holds every
+    maximizer up to isomorphism, names its canonical form."""
+    bad = []
+    hosts = 0
+    ties = {1: 0, 2: 0, 3: 0}
+    for key, text, n, p, entry in golden_points():
+        try:
+            host = families.extremal_host(patterns.parse_pattern(text), n, p)
+        except ValueError:
+            continue
+        if host is None:
+            continue
+        hosts += 1
+        if ep_value(host, p) == entry["max_value"]:
+            ties[p] += 1
+            if g6_from_code(canonical_code(host)) not in entry["maximizers"]:
+                bad.append(f"{key}: host {g6_encode(host)} is not listed")
+    if (hosts, ties) != (252, {1: 73, 2: 53, 3: 64}):
+        bad.append(f"{hosts} hosts with ties {ties}, expected 252 with "
+                   "{1: 73, 2: 53, 3: 64}")
+    report(7, f"criterion 7f: {sum(ties.values())} of {hosts} extremal hosts on the "
+              "golden grid reach the maximum, each a listed maximizer", bad)
+
+
 def test_criterion_7g_golden_maximizers_carry_certificates():
     """Every maximizer in the golden table is a checkable certificate: it
     decodes to n vertices, has e_p equal to the maximum, holds no copy of
@@ -641,9 +689,7 @@ def test_criterion_7g_golden_maximizers_carry_certificates():
     that holds the pattern or could take one more edge."""
     bad = []
     counts = {"entries": 0, "maximizers": 0, "non-edges": 0}
-    for key, entry in json.loads(GOLDEN_ORACLE.read_text())["entries"].items():
-        text, n, p = key.split("|")
-        n, p = int(n.removeprefix("n=")), int(p.removeprefix("p="))
+    for key, text, n, p, entry in golden_points():
         edges = patterns.parse_pattern(text).edge_list()
         counts["entries"] += 1
         for g6 in entry["maximizers"]:

@@ -383,11 +383,11 @@ def test_verify_missing_config_file(tmp_path, capsys):
     # n_max = 8 is below most samples' orders: each runs at its own order
     ("freeness.n_max = 8", {"freeness": 59}),
     ("consistency.n_max = 13\nconsistency.p_max = 2\nconsistency.big_n = 64\n"
-     "freeness.n_max = 24", {"consistency": 270, "freeness": 279}),
-    # p_max = 0 still compares each linear forest's edge count once per n
-    ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 295, "freeness": 22}),
+     "freeness.n_max = 24", {"consistency": 364, "freeness": 279}),
+    # p_max = 0 still compares each host's edge count (p = 1) once per n
+    ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 465, "freeness": 22}),
     ("consistency.n_max = 40\nfreeness.n_max = 30",
-     {"consistency": 2033, "freeness": 351}),
+     {"consistency": 2828, "freeness": 351}),
     ("oracle.n_max = 2", {"oracle": 7}),
     ("oracle.n_max = 5", {"oracle": 30}),
     ("oracle.n_max = 9", {"oracle": 66}),
@@ -453,7 +453,7 @@ def test_verify_default_suite(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 0 and err == ""
     assert out.splitlines() == [
-        '{"check": "consistency", "detail": "1485 instances, 0 mismatches", "pass": true}',
+        '{"check": "consistency", "detail": "2058 instances, 0 mismatches", "pass": true}',
         '{"check": "freeness", "detail": "207 instances, 0 failures", "pass": true}',
         '{"check": "oracle", "detail": "39 instances, 0 disagreements", "pass": true}',
         '{"check": "lemmas", "detail": "1452 instances, 0 failed instances", "pass": true}',

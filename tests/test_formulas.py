@@ -41,6 +41,12 @@ from turanp.patterns import (
     BroomPattern,
     LinearForestPattern,
     PathPattern,
+    StarForestPattern,
+    StarPattern,
+    contains_broom,
+    contains_linear_forest,
+    contains_path,
+    contains_star_forest,
     is_free,
     parse_pattern,
 )
@@ -325,6 +331,21 @@ SHAPE_USERS = {
     "lemma_absorb_check:ell": (lambda v: lemma_absorb_check(v, 0, 96, 5, 5, 2, "b"), "ell", 5),
     "lemma_absorb_check:s": (lambda v: lemma_absorb_check(5, v, 96, 5, 5, 2, "a"), "s", 0),
     "lemma_absorb_check:d": (lambda v: lemma_absorb_check(5, 0, 96, 5, v, 2, "a"), "d", 0),
+    # the patterns and the detectors pass the same gate (contains_path(K_5,
+    # 4.0) was True, and LinearForestPattern((3.0, 2)).text() 'linear:3.0,2')
+    "PathPattern:ell": (PathPattern, "ell", 2),
+    "LinearForestPattern:lengths": (lambda v: LinearForestPattern((3, v)), "path order", 2),
+    "StarPattern:r": (StarPattern, "r", 1),
+    "StarForestPattern:degrees": (lambda v: StarForestPattern((2, v)), "star degree", 1),
+    "BroomPattern:ell": (lambda v: BroomPattern(v, 1), "ell", 4),
+    "BroomPattern:s": (lambda v: BroomPattern(5, v), "s", 0),
+    "contains_path:ell": (lambda v: contains_path(complete_graph(5), v), "path order", 2),
+    "contains_linear_forest:lengths":
+        (lambda v: contains_linear_forest(complete_graph(5), (3, v)), "path order", 2),
+    "contains_star_forest:degrees":
+        (lambda v: contains_star_forest(complete_graph(5), (2, v)), "star degree", 1),
+    "contains_broom:ell": (lambda v: contains_broom(complete_graph(8), v, 1), "ell", 4),
+    "contains_broom:s": (lambda v: contains_broom(complete_graph(8), 5, v), "s", 0),
 }
 
 
@@ -344,7 +365,10 @@ def test_every_shape_parameter_goes_through_one_gate(name):
 def test_a_forest_with_no_components_is_rejected():
     # e_p(H(n,F)) over no paths read -72 at n = 10 and p = 2
     for call in (lambda: ep_h_linear_forest_value(10, [], 2),
-                 lambda: ex_linear_forest(10, []), lambda: ex_star_forest(10, [])):
+                 lambda: ex_linear_forest(10, []), lambda: ex_star_forest(10, []),
+                 lambda: LinearForestPattern(()), lambda: StarForestPattern(()),
+                 lambda: contains_linear_forest(complete_graph(5), ()),
+                 lambda: contains_star_forest(complete_graph(5), ())):
         with pytest.raises(ValueError, match="^need k >= 1$"):
             call()
 
@@ -511,22 +535,40 @@ def test_formula_for_pattern_rejects_a_p_that_is_not_an_int(p):
 
 def test_closed_forms_are_the_e_p_of_the_families_hosts():
     # the closed forms and the families builders are two routes to one
-    # number: a value exactly where a host is built, and its e_p
-    compared = 0
+    # number: a value exactly where a host is built, and its e_p (at
+    # p = 1 the classical extremal graph's 2|E|)
+    compared = {1: 0, 2: 0, 3: 0, 4: 0}
     for text in GRID_TEXTS:
         pattern = parse_pattern(text)
         for n in range(65):
-            try:
-                host = extremal_host(pattern, n)
-            except ValueError:
-                host = None
-            for p in (2, 3, 4):
+            for p in compared:
+                try:
+                    host = extremal_host(pattern, n, p)
+                except ValueError:
+                    host = None
                 res = formula_for_pattern(pattern, n, p)
                 assert (res is None) == (host is None), (text, n, p)
                 if host is not None:
-                    compared += 1
+                    compared[p] += 1
                     assert res.value == ep_value(host, p), (text, n, p)
-    assert compared == 7305
+    assert compared == {1: 2049, 2: 2435, 3: 2435, 4: 2435}
+
+
+def test_classical_hosts_are_pattern_free():
+    # the p = 1 hosts are the classical extremal graphs, so each one is
+    # certified free of its pattern, within budget
+    certified = 0
+    for text in GRID_TEXTS:
+        pattern = parse_pattern(text)
+        for n in range(25):
+            try:
+                host = extremal_host(pattern, n, 1)
+            except ValueError:
+                continue
+            if host is not None:
+                certified += 1
+                assert is_free(host, pattern, budget=100_000) is True, (text, n)
+    assert certified == 727
 
 
 def clique_union_ep(n, size, p):

@@ -735,5 +735,5 @@ def test_extremal_hosts_certify_within_budget():
     for text, ns in orders:
         pattern = parse_pattern(text)
         for n in ns:
-            host = extremal_host(pattern, n)
+            host = extremal_host(pattern, n, 2)
             assert is_free(host, pattern, budget=100_000) is True, f"{text} at n={n}"
