@@ -1,15 +1,17 @@
 """Deterministic builders for the named extremal graph families.
 
 Labelling convention: clique / universal vertices come first, then the
-rest, so graph6 outputs are stable across runs.  All builders reject
-parameters whose graph would exceed the vertex cap.
+rest, so graph6 outputs are stable across runs.  Every integer parameter
+passes graphs.check_shape, and every builder rejects parameters whose
+graph would exceed the vertex cap.
 """
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphCapError, VERTEX_CAP, check_power, disjoint_union, join
+from .graphs import (Graph, GraphCapError, VERTEX_CAP, check_power, check_shape,
+                     disjoint_union, join)
 from .patterns import (ForestPattern, LinearForestPattern, PathPattern,
                        StarForestPattern, StarPattern, unalias)
 
@@ -17,8 +19,6 @@ from .patterns import (ForestPattern, LinearForestPattern, PathPattern,
 def _check_cap(n: int, what: str) -> None:
     if n > VERTEX_CAP:
         raise GraphCapError(f"{what} needs {n} vertices, cap is {VERTEX_CAP}")
-    if n < 0:
-        raise ValueError(f"{what}: negative vertex count {n}")
 
 
 # ---------------------------------------------------------------------
@@ -26,40 +26,43 @@ def _check_cap(n: int, what: str) -> None:
 # ---------------------------------------------------------------------
 
 def complete_graph(t: int) -> Graph:
+    check_shape("t", 0, t)
     _check_cap(t, "complete graph")
     full = (1 << t) - 1
     return Graph(t, tuple(full ^ (1 << v) for v in range(t)))
 
 
 def empty_graph(t: int) -> Graph:
+    check_shape("t", 0, t)
     _check_cap(t, "empty graph")
     return Graph.empty(t)
 
 
 def path_graph(t: int) -> Graph:
+    check_shape("t", 0, t)
     _check_cap(t, "path")
     return Graph.from_edges(t, [(i, i + 1) for i in range(t - 1)])
 
 
 def star_graph(r: int) -> Graph:
     """Star S_r: centre of degree r plus r leaves (r+1 vertices)."""
+    check_shape("r", 0, r)
     _check_cap(r + 1, "star")
-    if r < 0:
-        raise ValueError("star degree must be >= 0")
     return Graph.from_edges(r + 1, [(0, i) for i in range(1, r + 1)])
 
 
 def matching_graph(t: int) -> Graph:
     """M_t: t vertices carrying a maximum matching (floor(t/2) edges)."""
+    check_shape("t", 0, t)
     _check_cap(t, "matching graph")
     return Graph.from_edges(t, [(2 * i, 2 * i + 1) for i in range(t // 2)])
 
 
 def turan_graph(n: int, r: int) -> Graph:
     """Complete r-partite graph with part sizes as equal as possible."""
+    check_shape("n", 0, n)
+    check_shape("r", 1, r)
     _check_cap(n, "Turan graph")
-    if r < 1:
-        raise ValueError("Turan graph needs r >= 1")
     q, rem = divmod(n, r)
     sizes = [q + 1] * rem + [q] * (r - rem)
     rows = [0] * n
@@ -75,16 +78,17 @@ def turan_graph(n: int, r: int) -> Graph:
 
 def friendship_graph(n: int) -> Graph:
     """F_n: star on n vertices plus a maximum matching on its leaves."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("friendship graph needs odd n >= 3")
+    check_shape("n", 3, n)
+    if n % 2 == 0:
+        raise ValueError(f"friendship graph needs odd n (got n={n})")
     return k_join_matching(n, 2)
 
 
 def broom_graph(ell: int, s: int) -> Graph:
     """B_{ell,s}: path on ell vertices with s extra leaves at a penultimate
     vertex (the one adjacent to the highest-indexed end)."""
-    if ell < 4 or s < 0:
-        raise ValueError("broom needs ell >= 4 and s >= 0")
+    check_shape("ell", 4, ell)
+    check_shape("s", 0, s)
     _check_cap(ell + s, "broom")
     edges = [(i, i + 1) for i in range(ell - 1)]
     edges += [(ell - 2, ell + i) for i in range(s)]
@@ -99,13 +103,15 @@ def near_regular(n: int, d: int) -> Graph:
     """Graph on n vertices with every degree d, except one vertex of
     degree d-1 when d*n is odd.  Realized greedily (Havel-Hakimi), which
     always succeeds on these sequences and is deterministic."""
+    check_shape("n", 0, n)
+    check_shape("d", 0, d)
     _check_cap(n, "near-regular graph")
     if n == 0:
         if d != 0:
             raise ValueError("near-regular on 0 vertices needs d = 0")
         return Graph.empty(0)
-    if not 0 <= d < n:
-        raise ValueError(f"near-regular needs 0 <= d < n (got n={n}, d={d})")
+    if d >= n:
+        raise ValueError(f"near-regular needs d < n (got n={n}, d={d})")
     residual = [d] * n
     if n and d * n % 2 == 1:
         residual[-1] = d - 1
@@ -136,8 +142,8 @@ def near_regular(n: int, d: int) -> Graph:
 def h_path(n: int, ell: int) -> Graph:
     """H(n,ell): K_b joined to E_{n-b} with b = floor(ell/2)-1, plus one
     edge inside the independent part iff ell is odd."""
-    if ell < 4:
-        raise ValueError("h_path needs ell >= 4")
+    check_shape("n", 0, n)
+    check_shape("ell", 4, ell)
     if n < ell:
         raise ValueError(f"h_path needs n >= ell (got n={n}, ell={ell})")
     return h_linear_forest(n, [ell])
@@ -147,8 +153,9 @@ def h_linear_forest(n: int, lengths: list[int]) -> Graph:
     """H(n,F) for the linear forest F with the given path orders:
     K_b + E_{n-b} with b = sum(floor(l_i/2)) - 1, plus one edge in the
     independent part iff every l_i is odd."""
-    if not lengths or any(l < 2 for l in lengths):
-        raise ValueError("lengths must be a nonempty list of integers >= 2")
+    check_shape("n", 0, n)
+    check_shape("k", 1, len(lengths))
+    check_shape("path order", 2, *lengths)
     total = sum(lengths)
     if n < total:
         raise ValueError(f"need n >= {total} (got n={n})")
@@ -163,8 +170,9 @@ def h_linear_forest(n: int, lengths: list[int]) -> Graph:
 def g_star_join(n: int, i: int, r: int) -> Graph:
     """G(n,i,r): K_{i-1} joined to a near (r-1)-regular graph on n-i+1
     vertices."""
-    if i < 1 or r < 1:
-        raise ValueError("g_star_join needs i >= 1 and r >= 1")
+    check_shape("n", 0, n)
+    check_shape("i", 1, i)
+    check_shape("r", 1, r)
     if n - i + 1 <= r - 1:
         raise ValueError(f"g_star_join needs n-i+1 > r-1 (got n={n}, i={i}, r={r})")
     _check_cap(n, "G(n,i,r)")
@@ -173,8 +181,10 @@ def g_star_join(n: int, i: int, r: int) -> Graph:
 
 def k_join_matching(n: int, k: int) -> Graph:
     """K_{k-1} joined to M_{n-k+1}."""
-    if k < 1 or n < k:
-        raise ValueError(f"k_join_matching needs 1 <= k <= n (got n={n}, k={k})")
+    check_shape("n", 0, n)
+    check_shape("k", 1, k)
+    if n < k:
+        raise ValueError(f"k_join_matching needs k <= n (got n={n}, k={k})")
     _check_cap(n, "K_{k-1}+M_{n-k+1}")
     return join(complete_graph(k - 1), matching_graph(n - k + 1))
 
@@ -182,8 +192,7 @@ def k_join_matching(n: int, k: int) -> Graph:
 def unbalanced_bipartite(n: int) -> Graph:
     """Complete bipartite graph with part sizes floor(n/2)-1 and
     ceil(n/2)+1 (the e_4 counterexample to Turan-graph optimality)."""
-    if n < 6:
-        raise ValueError("unbalanced_bipartite needs n >= 6")
+    check_shape("n", 6, n)
     _check_cap(n, "unbalanced bipartite graph")
     small = n // 2 - 1
     return join(empty_graph(small), empty_graph(n - small))
@@ -317,6 +326,9 @@ def build_family(spec: FamilySpec | str) -> Graph:
 
 def clique_union(a: int, clique: int, b: int) -> Graph:
     """a disjoint copies of K_clique plus one K_b (classical extremal shape)."""
+    check_shape("a", 0, a)
+    check_shape("clique", 1, clique)
+    check_shape("b", 0, b)
     g = empty_graph(0)
     for _ in range(a):
         g = disjoint_union(g, complete_graph(clique))

@@ -2,16 +2,17 @@
 certification, oracle agreement, lemma grids, rewrite properties, and the
 e_4 counterexample, plus verify_range, the oracle-against-closed-form
 grid behind `oracle --n-range`.  The oracle never imports the closed
-forms, so it stays an independent check on them.  The consistency,
-freeness and oracle checks are each one grid of pattern rows and one
-loop: the first two read each host from families.extremal_host (the
-consistency check from p = 1, the classical extremal graphs, on); the
-oracle check, sharing verify_range's loop, compares max_ep with
+forms, so it stays an independent check on them.  The consistency and
+freeness checks read one pattern list, HOST_PATTERNS, at every order,
+and take each host from families.extremal_host: the first compares every
+closed form with e_p of its host from p = 1 (the classical extremal
+graphs) on, the second certifies each host free.  The oracle check,
+sharing verify_range's loop, compares max_ep with
 formulas.formula_for_pattern and holds no expected value of its own.
 The CLI `verify` and `lemmas` subcommands drive the suites.  The pytest
 acceptance suite (criteria 1-6) checks the same identities at full grid
 sizes with its own loops and its own degree-multiset route; it shares
-only the sample lists and absorb_grid with this module.
+only check_freeness (criterion 2) and absorb_grid with this module.
 """
 from __future__ import annotations
 
@@ -21,16 +22,20 @@ from dataclasses import dataclass
 from . import families, formulas, oracle, patterns, rewrites
 from .graphs import VERTEX_CAP, ep_value
 
-LINEAR_FOREST_SAMPLES = [
-    [4, 2], [5, 3], [2, 2], [3, 2], [4, 4], [5, 2],
-    [6, 3], [4, 3, 2], [5, 5], [3, 3, 2], [7, 2], [4, 2, 2],
-]
-STAR_FOREST_SAMPLES = [
-    [1, 1], [2, 1], [2, 2], [3, 2], [3, 3],
-    [2, 2, 2], [3, 1], [2, 2, 1, 1], [3, 2, 1], [2, 2, 1],
-]
-# the consistency check's star forests, on G(n,k,r_k) and the densest G(n,i,r_i)
-STAR_FOREST_HOSTS = [(2, 2), (3, 2), (3, 3), (2, 2, 2)]
+# the one pattern list of the consistency and freeness checks: each
+# pattern's closed forms are compared with e_p of its extremal_host, and
+# its hosts are certified free of it
+HOST_PATTERNS = (
+    [patterns.PathPattern(ell) for ell in range(3, 10)]
+    + [patterns.LinearForestPattern(lengths) for lengths in (
+        (4, 2), (5, 3), (2, 2), (3, 2), (4, 4), (5, 2), (6, 3), (4, 3, 2),
+        (5, 5), (3, 3, 2), (7, 2), (4, 2, 2), (4, 3), (3, 3), (3, 3, 3))]
+    + [patterns.StarForestPattern(degrees) for degrees in (
+        (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 2, 2), (3, 1),
+        (2, 2, 1, 1), (3, 2, 1), (2, 2, 1))]
+    + [patterns.StarPattern(r) for r in (2, 3, 5)]
+    + [patterns.BroomPattern(ell, s) for ell in range(4, 8) for s in range(5)]
+)
 # the path orders of the big-n degree-multiset route, so no big n is below 8
 BIG_N_PATHS = (4, 5, 6, 7, 8)
 
@@ -129,28 +134,18 @@ def _ms_ep(ms: list[tuple[int, int]], p: int) -> int:
 # checks
 # ---------------------------------------------------------------------
 
-def _host_grid(n_max: int) -> list[tuple]:
-    """(pattern, orders) rows on which a closed form is compared with e_p
-    of the pattern's families.extremal_host: every order for paths and
-    brooms, every second or third order for the rest."""
-    rows = [(patterns.PathPattern(ell), range(n_max + 1)) for ell in range(3, 9)]
-    rows += [(patterns.LinearForestPattern(lengths), range(sum(lengths), n_max + 1, 3))
-             for lengths in ((4, 2), (5, 3), (2, 2), (4, 3))]
-    rows += [(patterns.StarForestPattern(degrees),
-              range(sum(degrees) + len(degrees), n_max + 1, 3))
-             for degrees in STAR_FOREST_HOSTS]
-    rows += [(patterns.LinearForestPattern((3,) * k), range(max(k, 5), n_max + 1, 2))
-             for k in (2, 3)]
-    rows += [(patterns.StarPattern(r), range(2, n_max + 1, 3)) for r in (2, 3, 5)]
-    # s = 4: the first B_{4,s} whose clique and near-regular hosts differ
-    rows += [(patterns.BroomPattern(ell, s), range(s + 4, n_max + 1))
-             for s in (1, 2, 3, 4) for ell in (4, 5)]
-    return rows
+def _host(pattern: patterns.ForestPattern, n: int, p: int):
+    """families.extremal_host, with None below the host's order."""
+    try:
+        return families.extremal_host(pattern, n, p)
+    except ValueError:
+        return None
 
 
 def check_consistency(cfg: dict) -> CheckResult:
-    """The host grid at p = 1..max(p_max, 1), then the big-n multiset
-    route and the Turan graphs (K_{r+1} is not a forest: it has no host)."""
+    """Every host pattern at n = 0..n_max and p = 1..max(p_max, 1), then
+    the big-n multiset route and the Turan graphs (K_{r+1} is not a
+    forest: it has no host)."""
     n_max = cfg["consistency.n_max"]
     p_max = cfg["consistency.p_max"]
     bad: list[str] = []
@@ -162,13 +157,10 @@ def check_consistency(cfg: dict) -> CheckResult:
         if got != want:
             bad.append(f"{label}: formula {got} != construction {want}")
 
-    for pattern, orders in _host_grid(n_max):
-        for n in orders:
+    for pattern in HOST_PATTERNS:
+        for n in range(n_max + 1):
             for p in range(1, max(p_max, 1) + 1):
-                try:
-                    host = families.extremal_host(pattern, n, p)
-                except ValueError:  # n is below the host's order
-                    host = None
+                host = _host(pattern, n, p)
                 res = formulas.formula_for_pattern(pattern, n, p)
                 if host is not None or res is not None:
                     expect(f"{pattern.text()} n={n} p={p}",
@@ -193,34 +185,26 @@ def check_consistency(cfg: dict) -> CheckResult:
     return _result("consistency", ran, bad, "mismatches")
 
 
-def _freeness_grid(n_max: int) -> list[tuple]:
-    """(pattern, orders) rows on which the pattern's p >= 2 extremal_host
-    is certified free: every order for paths, three sampled orders for
-    the linear and star forest samples, every other order for brooms."""
-    def sampled(lo: int) -> list[int]:
-        hi = max(lo, n_max)
-        return sorted({lo, (lo + hi) // 2, hi})
-
-    rows = [(patterns.PathPattern(ell), range(ell, n_max + 1)) for ell in range(4, 10)]
-    rows += [(patterns.LinearForestPattern(tuple(lengths)), sampled(sum(lengths)))
-             for lengths in LINEAR_FOREST_SAMPLES]
-    rows += [(patterns.StarForestPattern(tuple(degrees)),
-              sampled(sum(degrees) + len(degrees))) for degrees in STAR_FOREST_SAMPLES]
-    rows += [(patterns.BroomPattern(ell, s), range(7 + s, n_max + 1, 2))
-             for s in range(4) for ell in (5, 6, 7)]
-    return rows
-
-
 def check_freeness(cfg: dict) -> CheckResult:
+    """Every host pattern at every n from its order to max(order, n_max):
+    each distinct host among extremal_host at p = 1 and p = 2 (every
+    p >= 2 shares the p = 2 host) is certified free of the pattern."""
     bad: list[str] = []
     ran = 0
-    for pattern, orders in _freeness_grid(cfg["freeness.n_max"]):
-        for n in orders:
-            ran += 1
-            res = patterns.is_free(families.extremal_host(pattern, n, 2), pattern)
-            if res is not True:
-                bad.append(f"{pattern.text()} host at n={n}: expected free, "
-                           f"got {res!r}")
+    for pattern in HOST_PATTERNS:
+        order = pattern.order()
+        for n in range(order, max(order, cfg["freeness.n_max"]) + 1):
+            seen: list = []
+            for p in (1, 2):
+                host = _host(pattern, n, p)
+                if host is None or host in seen:
+                    continue
+                seen.append(host)
+                ran += 1
+                res = patterns.is_free(host, pattern)
+                if res is not True:
+                    bad.append(f"{pattern.text()} p={p} host at n={n}: "
+                               f"expected free, got {res!r}")
     return _result("freeness", ran, bad, "failures")
 
 

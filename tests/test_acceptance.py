@@ -215,35 +215,34 @@ def test_criterion_1_construction_formula_identity():
                     formulas.exp_turan_clique(n, r, p).value,
                     ep_of(degs_turan(n, r), p))
 
+    # the classical values against families.extremal_host at p = 1, built
+    # from n and the pattern alone: a value where the host is None, or the
+    # reverse, is a failure
+    def host_edges(pattern, n):
+        g = families.extremal_host(pattern, n, 1)
+        return None if g is None else g.edge_count()
+
     for ell in (2, 3, 4, 5, 6, 7):
         for n in range(0, 61):
             res = formulas.ex_path(n, ell)
-            g = families.clique_union(res.meta["a"], ell - 1, res.meta["b"])
-            chk(f"ex_path({n},{ell})", res.value, g.edge_count())
+            chk(f"ex_path({n},{ell})", res.value,
+                host_edges(patterns.PathPattern(ell), n))
             if n % (ell - 1) == 0 and ell > 2:
                 chk(f"eg_sharp({n},{ell})", formulas.eg_bound(n, ell), res.value)
         for n in BIG_N:
-            res = formulas.ex_path(n, ell)
-            chk(f"ex_path({n},{ell})@big", res.value,
-                edges_of(degs_clique_union(res.meta["a"], ell - 1, res.meta["b"])))
-
+            a, b = divmod(n, ell - 1)
+            chk(f"ex_path({n},{ell})@big", formulas.ex_path(n, ell).value,
+                edges_of(degs_clique_union(a, ell - 1, b)))
     for s in (1, 3, 4):
         for n in range(s + 4, 61):
-            res = formulas.ex_broom4(n, s)
-            a, b = res.meta["a"], res.meta["b"]
-            if res.meta["case"] == "near-regular":
-                g = families.clique_union(a - 1, s + 3, 0)
-                from turanp.graphs import disjoint_union
-                g = disjoint_union(g, families.near_regular(s + 3 + b, s + 1))
-            else:
-                g = families.clique_union(a, s + 3, b)
-            chk(f"ex_broom4({n},{s})", res.value, g.edge_count())
+            chk(f"ex_broom4({n},{s})", formulas.ex_broom4(n, s).value,
+                host_edges(patterns.BroomPattern(4, s), n))
     for s in (1, 2):
         for n in range(s + 5, 61):
             res = formulas.ex_broom5_partial(n, s)
-            if isinstance(res, formulas.FormulaResult):
-                g = families.clique_union(res.meta["a"], s + 4, res.meta["b"])
-                chk(f"ex_broom5({n},{s})", res.value, g.edge_count())
+            chk(f"ex_broom5({n},{s})",
+                res.value if isinstance(res, formulas.FormulaResult) else None,
+                host_edges(patterns.BroomPattern(5, s), n))
 
     report(1, "construction-formula identity (n <= 60 exact, 200/500 by "
               "independent degree multisets, p in theorem range)", bad)
@@ -254,45 +253,13 @@ def test_criterion_1_construction_formula_identity():
 # ---------------------------------------------------------------------
 
 def test_criterion_2_freeness_certification():
-    bad = []
-
-    def certify(label, g, pattern):
-        res = patterns.is_free(g, pattern)
-        if res is not True:
-            bad.append(f"{label} -> {res!r}")
-
-    for ell in range(4, 10):
-        for n in range(ell, 41):
-            certify(f"H({n},{ell})|P{ell}", families.h_path(n, ell),
-                    patterns.PathPattern(ell))
-    for lengths in verify.LINEAR_FOREST_SAMPLES:
-        for n in range(sum(lengths), 31):
-            certify(f"H({n},{lengths})|{lengths}",
-                    families.h_linear_forest(n, lengths),
-                    patterns.LinearForestPattern(tuple(lengths)))
-    for degrees in verify.STAR_FOREST_SAMPLES:
-        degrees = sorted(degrees, reverse=True)
-        k = len(degrees)
-        for n in range(sum(degrees) + k, 31):
-            certify(f"G({n},{k},{degrees[-1]})|{degrees}",
-                    families.g_star_join(n, k, degrees[-1]),
-                    patterns.StarForestPattern(tuple(degrees)))
-    # brooms: the ell=5 extremal family is K_1+M_{n-1} for s >= 1 (it
-    # contains B_{5,0} = P_5); H(n,5) covers s = 0
-    for s in range(4):
-        for n in range(6 + s, 31):
-            certify(f"H({n},6)|B(6,{s})", families.h_path(n, 6),
-                    patterns.BroomPattern(6, s))
-            certify(f"H({n},7)|B(7,{s})", families.h_path(max(n, 7), 7),
-                    patterns.BroomPattern(7, s))
-            if s >= 1:
-                certify(f"K1M|B(5,{s}) n={n}", families.k_join_matching(n, 2),
-                        patterns.BroomPattern(5, s))
-            else:
-                certify(f"H({n},5)|B(5,0)", families.h_path(n, 5),
-                        patterns.BroomPattern(5, 0))
-    report(2, "freeness certification (paths n<=40, linear forests and "
-              "star forests n<=30, brooms n<=30; no unknowns)", bad)
+    # verify's freeness check: every distinct p = 1 and p = 2 host of every
+    # pattern in verify.HOST_PATTERNS, at every n from its order to 40
+    res = verify.check_freeness({"freeness.n_max": 40})
+    report(2, "freeness certification (every extremal host of verify's "
+              "host patterns, n <= 40; no unknowns)",
+           [] if res.passed else [res.detail])
+    assert res.detail == "2471 instances, 0 failures"
 
 
 # ---------------------------------------------------------------------

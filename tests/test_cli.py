@@ -377,17 +377,18 @@ def test_verify_missing_config_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# each grid's instance count at configs other than the default, so a row
-# dropped from the pattern -> host grids or the oracle grid fails here
+# each check's instance count at configs other than the default, so a
+# pattern dropped from verify.HOST_PATTERNS or a row from the oracle grid
+# fails here
 @pytest.mark.parametrize("config, want", [
-    # n_max = 8 is below most samples' orders: each runs at its own order
-    ("freeness.n_max = 8", {"freeness": 59}),
+    # n_max = 8 is below most patterns' orders: each runs at its own order
+    ("freeness.n_max = 8", {"freeness": 171}),
     ("consistency.n_max = 13\nconsistency.p_max = 2\nconsistency.big_n = 64\n"
-     "freeness.n_max = 24", {"consistency": 364, "freeness": 279}),
+     "freeness.n_max = 24", {"consistency": 1002, "freeness": 1310}),
     # p_max = 0 still compares each host's edge count (p = 1) once per n
-    ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 465, "freeness": 22}),
+    ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 1231, "freeness": 70}),
     ("consistency.n_max = 40\nfreeness.n_max = 30",
-     {"consistency": 2828, "freeness": 351}),
+     {"consistency": 7886, "freeness": 1745}),
     ("oracle.n_max = 2", {"oracle": 7}),
     ("oracle.n_max = 5", {"oracle": 30}),
     ("oracle.n_max = 9", {"oracle": 66}),
@@ -453,8 +454,8 @@ def test_verify_default_suite(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 0 and err == ""
     assert out.splitlines() == [
-        '{"check": "consistency", "detail": "2058 instances, 0 mismatches", "pass": true}',
-        '{"check": "freeness", "detail": "207 instances, 0 failures", "pass": true}',
+        '{"check": "consistency", "detail": "5740 instances, 0 mismatches", "pass": true}',
+        '{"check": "freeness", "detail": "874 instances, 0 failures", "pass": true}',
         '{"check": "oracle", "detail": "39 instances, 0 disagreements", "pass": true}',
         '{"check": "lemmas", "detail": "1452 instances, 0 failed instances", "pass": true}',
         '{"check": "rewrites", "detail": "50 instances, 0 failures", "pass": true}',

@@ -731,7 +731,8 @@ def test_extremal_hosts_certify_within_budget():
               for text in ("linear:4,4,4", "linear:5,5,5", "linear:3,3,2,2")]
     orders += [("stars:2,2,2,2", range(12, 38)), ("stars:3,3,3", range(12, 34)),
                ("path:6", range(6, 65)), ("broom:5,2", range(7, 65)),
-               ("broom:6,1", range(7, 65))]
+               ("broom:6,1", range(7, 65)), ("linear:3,3,3", range(9, 31))]
+    # linear:3,3,3 on K_2+M_{n-2} ends UNKNOWN at 10^5 steps for n = 31..64
     for text, ns in orders:
         pattern = parse_pattern(text)
         for n in ns:
