@@ -212,10 +212,6 @@ class _Counts:
     heredity: int = 0
     matcher: int = 0
 
-    @property
-    def pruned(self) -> int:
-        return self.heredity + self.matcher
-
 
 def _extensions(classes: list[tuple[int, ...]], k: int,
                 matcher: AnchoredMatcher | None,

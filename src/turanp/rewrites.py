@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, check_shape, iter_bits
 
 KINDS = ("edge", "triangle", "diamond", "spindle", "spindle_plus")
 # peripherals per kind; a spindle has its hub and any t >= 2 leaves
@@ -135,10 +135,12 @@ def _validate_site(g: Graph, v: int, site: PendentSite) -> None:
 
 def apply_rewrite(g: Graph, v: int, site: PendentSite, ell: int, s: int) -> Graph:
     """Rewire the site onto v: delete the structure's edges and connect
-    its peripherals (and hub, where present) to v.  Requires v to have
-    maximum degree at least ell+s-1; the result then stays B_{ell,s}-free
-    whenever g was, keeps v at maximum degree, and has strictly larger
-    e_p for every p >= 2."""
+    its peripherals (and hub, where present) to v.  Requires ell >= 5 and
+    s >= 0 (graphs.check_shape) and v to have maximum degree at least
+    ell+s-1; the result then stays B_{ell,s}-free whenever g was, keeps v
+    at maximum degree, and has strictly larger e_p for every p >= 2."""
+    check_shape("ell", 5, ell)
+    check_shape("s", 0, s)
     if not g.is_connected():
         raise SiteError("host graph must be connected")
     _validate_site(g, v, site)
@@ -164,8 +166,8 @@ def demo_instance(kind: str, ell: int, s: int,
     structure at a neighbour x of v, and a few extra star leaves."""
     if kind not in KINDS:
         raise ValueError(f"unknown site kind {kind!r}")
-    if ell < 5 or s < 0:
-        raise ValueError("need ell >= 5 and s >= 0")
+    check_shape("ell", 5, ell)
+    check_shape("s", 0, s)
     base = max(ell + s - 1, 7) + rng.randint(0, 1)
     v = 0
     edges = [(v, i) for i in range(1, base + 1)]

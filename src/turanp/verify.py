@@ -10,9 +10,10 @@ graphs) on, the second certifies each host free.  The oracle check,
 sharing verify_range's loop, compares max_ep with
 formulas.formula_for_pattern and holds no expected value of its own.
 The CLI `verify` and `lemmas` subcommands drive the suites.  The pytest
-acceptance suite (criteria 1-6) checks the same identities at full grid
-sizes with its own loops and its own degree-multiset route; it shares
-only check_freeness (criterion 2) and absorb_grid with this module.
+acceptance suite (criteria 1-6) runs each check at its criterion's size
+and pins its detail; beside them it keeps only its own degree-multiset
+route at n = 200, 500 and the 4P_3 row, whose host K_3+M_{n-3} is too
+slow to certify free up to the vertex cap to be a host pattern.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from . import families, formulas, oracle, patterns, rewrites
-from .graphs import VERTEX_CAP, ep_value
+from .graphs import VERTEX_CAP, canonical_code, ep_value, g6_from_code
 
 # the one pattern list of the consistency and freeness checks: each
 # pattern's closed forms are compared with e_p of its extremal_host, and
@@ -32,8 +33,8 @@ HOST_PATTERNS = (
         (5, 5), (3, 3, 2), (7, 2), (4, 2, 2), (4, 3), (3, 3), (3, 3, 3))]
     + [patterns.StarForestPattern(degrees) for degrees in (
         (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 2, 2), (3, 1),
-        (2, 2, 1, 1), (3, 2, 1), (2, 2, 1))]
-    + [patterns.StarPattern(r) for r in (2, 3, 5)]
+        (2, 2, 1, 1), (3, 2, 1), (2, 2, 1), (4, 3))]
+    + [patterns.StarPattern(r) for r in (1, 2, 3, 5, 9)]
     + [patterns.BroomPattern(ell, s) for ell in range(4, 8) for s in range(5)]
 )
 # the path orders of the big-n degree-multiset route, so no big n is below 8
@@ -144,8 +145,8 @@ def _host(pattern: patterns.ForestPattern, n: int, p: int):
 
 def check_consistency(cfg: dict) -> CheckResult:
     """Every host pattern at n = 0..n_max and p = 1..max(p_max, 1), then
-    the big-n multiset route and the Turan graphs (K_{r+1} is not a
-    forest: it has no host)."""
+    the big-n multiset route and the Turan graphs T_r(n), r = 1, 2, 3, 7,
+    at every n >= r (K_{r+1} is not a forest: it has no host)."""
     n_max = cfg["consistency.n_max"]
     p_max = cfg["consistency.p_max"]
     bad: list[str] = []
@@ -176,8 +177,8 @@ def check_consistency(cfg: dict) -> CheckResult:
                 expect(f"exp_broom({n},5,{s},{p})#multiset",
                        formulas.exp_broom(n, 5, s, p).value,
                        _ms_ep(_ms_k_join_matching(n, 2), p))
-    for r in (1, 2, 3):
-        for n in range(r, n_max + 1, 3):
+    for r in (1, 2, 3, 7):
+        for n in range(r, n_max + 1):
             g = families.turan_graph(n, r)
             for p in range(1, p_max + 1):
                 expect(f"exp_turan({n},{r},{p})",
@@ -219,13 +220,18 @@ def _oracle_vs_formula(pattern: patterns.ForestPattern, n_range, p_range):
 
 def _oracle_grid(n_max: int) -> list[tuple]:
     """(pattern, orders, powers, unique) rows on which the oracle's maximum
-    must equal formula_for_pattern's value, and be attained by one graph
-    up to isomorphism where ``unique`` is set."""
+    must equal formula_for_pattern's value, and where ``unique`` is set be
+    attained only by the class of families.extremal_host (M_n for P_3,
+    S_{n-1} for 2S_1)."""
     return ([(patterns.PathPattern(3), range(2, n_max + 1), (2, 3), True),
              (patterns.StarForestPattern((1, 1)), range(5, n_max + 1), (2,), True)]
             + [(patterns.PathPattern(ell), range(2, n_max + 1), (1,), False)
                for ell in range(2, 7)]
-            + [(patterns.LinearForestPattern((2, 2)), range(5, n_max + 1), (1,), False)])
+            + [(patterns.LinearForestPattern((2, 2)), range(5, n_max + 1), (1,), False)]
+            + [(patterns.StarPattern(r), range(2, n_max + 1), (1, 2, 3), False)
+               for r in (1, 2, 3, 8)]
+            + [(patterns.BroomPattern(4, s), range(s + 4, n_max + 1), (1,), False)
+               for s in (1, 2, 5)])
 
 
 def check_oracle(cfg: dict) -> CheckResult:
@@ -235,9 +241,13 @@ def check_oracle(cfg: dict) -> CheckResult:
         for n, p, rep, res in _oracle_vs_formula(pattern, orders, powers):
             ran += 1
             want = None if res is None else res.value
-            if rep.max_value != want or (unique and not rep.unique):
+            found = [g6 for g6, _ in rep.maximizers]
+            host = (g6_from_code(canonical_code(families.extremal_host(pattern, n, p)))
+                    if unique else None)
+            if rep.max_value != want or (unique and (not rep.unique or found != [host])):
                 bad.append(f"{pattern.text()} n={n} p={p}: oracle {rep.max_value} "
-                           f"(formula {want}), unique={rep.unique}")
+                           f"(formula {want}), unique={rep.unique}"
+                           + (f", maximizers {found} (host {host})" if unique else ""))
     return _result("oracle", ran, bad, "disagreements")
 
 
@@ -302,6 +312,10 @@ def absorb_grid(count: int) -> list[tuple]:
 
 
 def check_rewrites(cfg: dict) -> CheckResult:
+    """per_kind seeded demo_instance hosts of each kind: find_sites finds the
+    planted site, and its rewrite raises e_2..e_4, keeps v of maximum
+    degree >= ell+s-1, raises no other vertex's degree, stays connected
+    and keeps a B_{ell,s}-free host free."""
     per_kind = cfg["rewrites.per_kind"]
     bad: list[str] = []
     ran = 0
@@ -326,6 +340,8 @@ def check_rewrites(cfg: dict) -> CheckResult:
                     bad.append(f"{kind}#{i}: e_{p} did not increase")
             if g2.degree(v) != g2.max_degree() or g2.degree(v) < ell + s - 1:
                 bad.append(f"{kind}#{i}: max-degree condition broken")
+            if any(g2.degree(u) > g.degree(u) for u in range(g.n) if u != v):
+                bad.append(f"{kind}#{i}: a vertex other than v gained degree")
             if not g2.is_connected():
                 bad.append(f"{kind}#{i}: result disconnected")
             pat = patterns.BroomPattern(ell, s)

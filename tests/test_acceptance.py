@@ -1,15 +1,17 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Zero tolerance everywhere: every comparison is exact integer equality or a
-boolean certificate.  Formula values at n beyond the vertex cap are
-cross-checked against an independent summation over each construction's
-degree multiset, written out locally in this module.
+boolean certificate.  Criteria 1-6 each run one turanp.verify check at the
+criterion's size and pin its detail line.  Beside them criterion 1 keeps
+two loops of its own: the 4P_3 row, and formula values at n beyond the
+vertex cap cross-checked against an independent summation over each
+construction's degree multiset, written out locally in this module.
 """
 import json
 import random
 from pathlib import Path
 
-from turanp import families, formulas, oracle, patterns, rewrites, verify
+from turanp import families, formulas, oracle, patterns, verify
 from turanp.graphs import (
     Graph,
     canonical_code,
@@ -31,6 +33,12 @@ def report(num: int, desc: str, failures: list) -> None:
     print(f"ACCEPTANCE {num}: {status} - {desc}"
           + (f" [{len(failures)} failures; first: {failures[0]}]" if failures else ""))
     assert not failures, f"criterion {num}: {failures[:5]}"
+
+
+def report_check(num: int, desc: str, res: verify.CheckResult, detail: str) -> None:
+    """Report a verify check run at the criterion's size, and pin its detail."""
+    report(num, desc, [] if res.passed else [res.detail])
+    assert res.detail == detail
 
 
 # ---------------------------------------------------------------------
@@ -89,163 +97,77 @@ def edges_of(degs):
 # ---------------------------------------------------------------------
 
 def test_criterion_1_construction_formula_identity():
-    bad = []
+    # n <= 60: verify's consistency check, every closed form of every
+    # pattern in verify.HOST_PATTERNS against e_p of its extremal_host at
+    # p = 1..6, and the Turan graphs T_r(n) for r = 1, 2, 3, 7
+    res = verify.check_consistency({**verify.DEFAULT_CONFIG, "consistency.n_max": 60,
+                                    "consistency.p_max": 6})
+    bad = [] if res.passed else [res.detail]
 
     def chk(label, got, want):
         if got != want:
             bad.append(f"{label}: {got} != {want}")
 
-    for ell in range(4, 10):
-        for n in range(ell, 61):
-            g = families.h_path(n, ell)
-            for p in P_POWER:
-                chk(f"exp_path({n},{ell},{p})",
-                    formulas.exp_path(n, ell, p).value, ep_value(g, p))
-        for n in BIG_N:
-            for p in P_POWER:
-                chk(f"exp_path({n},{ell},{p})@big",
-                    formulas.exp_path(n, ell, p).value,
-                    ep_of(degs_h_forest(n, [ell]), p))
-    for n in range(2, 61):
-        g = families.matching_graph(n)
-        for p in P_ALL:
-            chk(f"exp_path({n},3,{p})", formulas.exp_path(n, 3, p).value,
-                ep_value(g, p))
-            chk(f"exp_path({n},2,{p})", formulas.exp_path(n, 2, p).value, 0)
+    # 4P_3 is no host pattern: with no budget, certifying K_3+M_{n-3} free
+    # takes about 0.5 s at n = 28 (2 cores, CPython 3.11) and about 2.7 times
+    # more every 4 vertices, out of reach at the vertex cap
+    for n in range(4, 61):
+        g = families.k_join_matching(n, 4)
+        for p in P_POWER:
+            chk(f"exp_kP3({n},4,{p})", formulas.exp_kP3(n, 4, p).value, ep_value(g, p))
+        chk(f"ex_kP3({n},4)", formulas.ex_kP3(n, 4).value, g.edge_count())
 
-    forests = [[4, 2], [5, 3], [2, 2], [4, 3], [3, 2], [5, 5], [4, 2, 2]]
-    for lengths in forests:
-        lo = sum(lengths)
-        for n in range(lo, 61):
-            g = families.h_linear_forest(n, lengths)
+    # n = 200, 500: each closed form against its construction's degree
+    # multiset, written out above
+    for n in BIG_N:
+        for ell in range(4, 10):
             for p in P_POWER:
-                chk(f"exp_lf({n},{lengths},{p})",
-                    formulas.exp_linear_forest(n, lengths, p).value,
-                    ep_value(g, p))
-            chk(f"ex_lf({n},{lengths})",
-                formulas.ex_linear_forest(n, lengths).value, g.edge_count())
-        for n in BIG_N:
+                chk(f"exp_path({n},{ell},{p})", formulas.exp_path(n, ell, p).value,
+                    ep_of(degs_h_forest(n, [ell]), p))
+        for lengths in ([4, 2], [5, 3], [2, 2], [4, 3], [3, 2], [5, 5], [4, 2, 2]):
             degs = degs_h_forest(n, lengths)
             for p in P_POWER:
-                chk(f"exp_lf({n},{lengths},{p})@big",
-                    formulas.exp_linear_forest(n, lengths, p).value,
-                    ep_of(degs, p))
-            chk(f"ex_lf({n},{lengths})@big",
+                chk(f"exp_lf({n},{lengths},{p})",
+                    formulas.exp_linear_forest(n, lengths, p).value, ep_of(degs, p))
+            chk(f"ex_lf({n},{lengths})",
                 formulas.ex_linear_forest(n, lengths).value, edges_of(degs))
-
-    star_forests = [[2, 2], [3, 2], [3, 3], [2, 2, 2], [4, 3], [1, 1], [3, 2, 1]]
-    for degrees in star_forests:
-        k = len(degrees)
-        lo = sum(degrees) + k
-        for n in range(lo, 61):
-            g = families.g_star_join(n, k, degrees[-1])
+        for degrees in ([2, 2], [3, 2], [3, 3], [2, 2, 2], [4, 3], [1, 1], [3, 2, 1]):
+            k = len(degrees)
             for p in P_POWER:
                 chk(f"exp_sf({n},{degrees},{p})",
-                    formulas.exp_star_forest(n, degrees, p).value,
-                    ep_value(g, p))
-            best = max(families.g_star_join(n, i, degrees[i - 1]).edge_count()
-                       for i in range(1, k + 1))
-            chk(f"ex_sf({n},{degrees})",
-                formulas.ex_star_forest(n, degrees).value, best)
-        for n in BIG_N:
-            for p in P_POWER:
-                chk(f"exp_sf({n},{degrees},{p})@big",
                     formulas.exp_star_forest(n, degrees, p).value,
                     ep_of(degs_g_star(n, k, degrees[-1]), p))
             best = max(edges_of(degs_g_star(n, i, degrees[i - 1]))
                        for i in range(1, k + 1))
-            chk(f"ex_sf({n},{degrees})@big",
-                formulas.ex_star_forest(n, degrees).value, best)
-
-    for k in (2, 3, 4):
-        for n in range(k, 61):
-            g = families.k_join_matching(n, k)
-            for p in P_POWER:
-                chk(f"exp_kP3({n},{k},{p})",
-                    formulas.exp_kP3(n, k, p).value, ep_value(g, p))
-            chk(f"ex_kP3({n},{k})", formulas.ex_kP3(n, k).value, g.edge_count())
-        for n in BIG_N:
+            chk(f"ex_sf({n},{degrees})", formulas.ex_star_forest(n, degrees).value, best)
+        for k in (2, 3, 4):
             degs = degs_k_join_matching(n, k)
             for p in P_POWER:
-                chk(f"exp_kP3({n},{k},{p})@big",
-                    formulas.exp_kP3(n, k, p).value, ep_of(degs, p))
-            chk(f"ex_kP3({n},{k})@big",
-                formulas.ex_kP3(n, k).value, edges_of(degs))
-
-    for r in (1, 2, 3, 5, 9):
-        for n in range(2, 61):
-            g = (families.complete_graph(n) if n <= r - 1
-                 else families.near_regular(n, r - 1))
+                chk(f"exp_kP3({n},{k},{p})", formulas.exp_kP3(n, k, p).value,
+                    ep_of(degs, p))
+            chk(f"ex_kP3({n},{k})", formulas.ex_kP3(n, k).value, edges_of(degs))
+        for r in (1, 2, 3, 5, 9):
             for p in P_ALL:
-                chk(f"exp_star({n},{r},{p})",
-                    formulas.exp_star(n, r, p).value, ep_value(g, p))
-        for n in BIG_N:
-            for p in P_ALL:
-                chk(f"exp_star({n},{r},{p})@big",
-                    formulas.exp_star(n, r, p).value,
+                chk(f"exp_star({n},{r},{p})", formulas.exp_star(n, r, p).value,
                     ep_of(degs_near_regular(n, r - 1), p))
-
-    for s in (1, 2, 4):
-        for n in range(s + 4, 61):
-            g4 = families.star_graph(n - 1)
-            g5 = families.k_join_matching(n, 2)
+        for s in (1, 2, 4):
             for p in P_POWER:
-                chk(f"exp_broom4({n},{s},{p})",
-                    formulas.exp_broom(n, 4, s, p).value, ep_value(g4, p))
-                chk(f"exp_broom5({n},{s},{p})",
-                    formulas.exp_broom(n, 5, s, p).value, ep_value(g5, p))
-        for n in BIG_N:
-            for p in P_POWER:
-                chk(f"exp_broom4({n},{s},{p})@big",
-                    formulas.exp_broom(n, 4, s, p).value,
+                chk(f"exp_broom4({n},{s},{p})", formulas.exp_broom(n, 4, s, p).value,
                     ep_of(degs_star(n), p))
-                chk(f"exp_broom5({n},{s},{p})@big",
-                    formulas.exp_broom(n, 5, s, p).value,
+                chk(f"exp_broom5({n},{s},{p})", formulas.exp_broom(n, 5, s, p).value,
                     ep_of(degs_k_join_matching(n, 2), p))
-
-    for r in (1, 2, 3, 7):
-        for n in range(r, 61, 2):
-            g = families.turan_graph(n, r)
+        for r in (1, 2, 3, 7):
             for p in P_ALL:
-                chk(f"exp_turan({n},{r},{p})",
-                    formulas.exp_turan_clique(n, r, p).value, ep_value(g, p))
-        for n in BIG_N:
-            for p in P_ALL:
-                chk(f"exp_turan({n},{r},{p})@big",
-                    formulas.exp_turan_clique(n, r, p).value,
+                chk(f"exp_turan({n},{r},{p})", formulas.exp_turan_clique(n, r, p).value,
                     ep_of(degs_turan(n, r), p))
-
-    # the classical values against families.extremal_host at p = 1, built
-    # from n and the pattern alone: a value where the host is None, or the
-    # reverse, is a failure
-    def host_edges(pattern, n):
-        g = families.extremal_host(pattern, n, 1)
-        return None if g is None else g.edge_count()
-
-    for ell in (2, 3, 4, 5, 6, 7):
-        for n in range(0, 61):
-            res = formulas.ex_path(n, ell)
-            chk(f"ex_path({n},{ell})", res.value,
-                host_edges(patterns.PathPattern(ell), n))
-            if n % (ell - 1) == 0 and ell > 2:
-                chk(f"eg_sharp({n},{ell})", formulas.eg_bound(n, ell), res.value)
-        for n in BIG_N:
+        for ell in range(2, 8):
             a, b = divmod(n, ell - 1)
-            chk(f"ex_path({n},{ell})@big", formulas.ex_path(n, ell).value,
+            chk(f"ex_path({n},{ell})", formulas.ex_path(n, ell).value,
                 edges_of(degs_clique_union(a, ell - 1, b)))
-    for s in (1, 3, 4):
-        for n in range(s + 4, 61):
-            chk(f"ex_broom4({n},{s})", formulas.ex_broom4(n, s).value,
-                host_edges(patterns.BroomPattern(4, s), n))
-    for s in (1, 2):
-        for n in range(s + 5, 61):
-            res = formulas.ex_broom5_partial(n, s)
-            chk(f"ex_broom5({n},{s})",
-                res.value if isinstance(res, formulas.FormulaResult) else None,
-                host_edges(patterns.BroomPattern(5, s), n))
 
     report(1, "construction-formula identity (n <= 60 exact, 200/500 by "
               "independent degree multisets, p in theorem range)", bad)
+    assert res.detail == "20621 instances, 0 mismatches"
 
 
 # ---------------------------------------------------------------------
@@ -255,11 +177,10 @@ def test_criterion_1_construction_formula_identity():
 def test_criterion_2_freeness_certification():
     # verify's freeness check: every distinct p = 1 and p = 2 host of every
     # pattern in verify.HOST_PATTERNS, at every n from its order to 40
-    res = verify.check_freeness({"freeness.n_max": 40})
-    report(2, "freeness certification (every extremal host of verify's "
-              "host patterns, n <= 40; no unknowns)",
-           [] if res.passed else [res.detail])
-    assert res.detail == "2471 instances, 0 failures"
+    report_check(2, "freeness certification (every extremal host of verify's "
+                    "host patterns, n <= 40; no unknowns)",
+                 verify.check_freeness({"freeness.n_max": 40}),
+                 "2573 instances, 0 failures")
 
 
 # ---------------------------------------------------------------------
@@ -267,56 +188,13 @@ def test_criterion_2_freeness_certification():
 # ---------------------------------------------------------------------
 
 def test_criterion_3_oracle_equivalence():
-    bad = []
-    for n in range(2, 10):
-        want = n - 1 if n % 2 == 1 else n
-        mn_code = canonical_code(families.matching_graph(n))
-        for p in (2, 3):
-            rep = oracle.max_ep(n, patterns.PathPattern(3), p)
-            if rep.max_value != want:
-                bad.append(f"P3 n={n} p={p}: {rep.max_value} != {want}")
-            if not rep.unique:
-                bad.append(f"P3 n={n} p={p}: not unique")
-            codes = {canonical_code(g6_decode(g6)) for g6, _ in rep.maximizers}
-            if codes != {mn_code}:
-                bad.append(f"P3 n={n} p={p}: maximizer is not M_n")
-    for n in range(5, 10):
-        rep = oracle.max_ep(n, patterns.StarForestPattern((1, 1)), 2)
-        want = (n - 1) ** 2 + (n - 1)
-        star_code = canonical_code(families.star_graph(n - 1))
-        if rep.max_value != want:
-            bad.append(f"2S1 n={n}: {rep.max_value} != {want}")
-        if not rep.unique:
-            bad.append(f"2S1 n={n}: not unique")
-        codes = {canonical_code(g6_decode(g6)) for g6, _ in rep.maximizers}
-        if codes != {star_code}:
-            bad.append(f"2S1 n={n}: maximizer is not S_(n-1)")
-    for ell in range(2, 7):
-        for n in range(2, 10):
-            rep = oracle.max_ep(n, patterns.PathPattern(ell), 1)
-            want = formulas.ex_path(n, ell).value
-            if rep.edges != want:
-                bad.append(f"ex P{ell} n={n}: {rep.edges} != {want}")
-    for n in range(5, 10):
-        rep = oracle.max_ep(n, patterns.LinearForestPattern((2, 2)), 1)
-        want = formulas.ex_linear_forest(n, [2, 2]).value
-        if rep.edges != want:
-            bad.append(f"ex 2P2 n={n}: {rep.edges} != {want}")
-    # n = 9, the top of the oracle's range: closed forms exact at every n
-    for r in (1, 2, 3, 8):
-        for p in (1, 2, 3):
-            rep = oracle.max_ep(9, patterns.StarPattern(r), p)
-            want = formulas.exp_star(9, r, p).value
-            if rep.max_value != want:
-                bad.append(f"S{r} n=9 p={p}: {rep.max_value} != {want}")
-    for s in (1, 2, 5):
-        rep = oracle.max_ep(9, patterns.BroomPattern(4, s), 1)
-        want = formulas.ex_broom4(9, s).value
-        if rep.edges != want:
-            bad.append(f"ex B(4,{s}) n=9: {rep.edges} != {want}")
-    report(3, "oracle equivalence (P3 values+unique M_n, 2S_1 values+unique "
-              "star, classical P_ell and 2P_2 agreement, n <= 9; S_r and "
-              "classical B_{4,s} at n = 9)", bad)
+    # verify's oracle check at n <= 9: max_ep against formula_for_pattern,
+    # with one maximizer, the class of extremal_host, for P_3 (M_n) and
+    # 2S_1 (S_{n-1})
+    report_check(3, "oracle equivalence (P3 values+unique M_n, 2S_1 values+unique "
+                    "star, classical P_ell, 2P_2 and B_{4,s}, and S_r, n <= 9)",
+                 verify.check_oracle({"oracle.n_max": 9}),
+                 "172 instances, 0 disagreements")
 
 
 # ---------------------------------------------------------------------
@@ -324,23 +202,14 @@ def test_criterion_3_oracle_equivalence():
 # ---------------------------------------------------------------------
 
 def test_criterion_4_lemma_grids():
-    bad = []
-    for ell in (5, 6, 7):
-        variants = ("a", "b") if ell == 5 else ("b",)
-        for variant in variants:
-            for n1 in range(ell, ell + 21):
-                for n2 in range(ell, ell + 21):
-                    for p in (2, 3):
-                        if not formulas.lemma_superadd_check(ell, n1, n2, p, variant):
-                            bad.append(f"superadd({ell},{n1},{n2},{p},{variant})")
-    grid = verify.absorb_grid(50)
-    assert sum(1 for c in grid if c[-1] == "a") >= 50
-    assert sum(1 for c in grid if c[-1] == "b") >= 50
-    for case in grid:
-        if not formulas.lemma_absorb_check(*case):
-            bad.append(f"absorb{case}")
-    report(4, "lemma grids (superadditivity over 21x21 windows, 50 "
-              "absorption tuples per variant)", bad)
+    # verify's lemma check at span 20: superadditivity over 21x21 windows
+    # and the absorption tuples of verify.absorb_grid(50)
+    variants = [case[-1] for case in verify.absorb_grid(50)]
+    assert variants.count("a") == variants.count("b") == 50
+    report_check(4, "lemma grids (superadditivity over 21x21 windows, 50 "
+                    "absorption tuples per variant)",
+                 verify.check_lemmas({"lemmas.span": 20}),
+                 "3628 instances, 0 failed instances")
 
 
 # ---------------------------------------------------------------------
@@ -348,33 +217,11 @@ def test_criterion_4_lemma_grids():
 # ---------------------------------------------------------------------
 
 def test_criterion_5_rewrite_suite():
-    bad = []
-    kind_ell = {"edge": 5, "triangle": 6, "diamond": 7,
-                "spindle": 7, "spindle_plus": 7}
-    for kind in rewrites.KINDS:
-        for i in range(100):
-            rng = random.Random(52000 + 1000 * rewrites.KINDS.index(kind) + i)
-            ell = kind_ell[kind]
-            s = i % 3
-            g, v, site = rewrites.demo_instance(kind, ell, s, rng)
-            try:
-                out = rewrites.apply_rewrite(g, v, site, ell, s)
-            except rewrites.SiteError as exc:
-                bad.append(f"{kind}#{i}: {exc}")
-                continue
-            for p in (2, 3, 4):
-                if not ep_value(out, p) > ep_value(g, p):
-                    bad.append(f"{kind}#{i}: e_{p} not increased")
-            if not (out.degree(v) == out.max_degree() >= ell + s - 1):
-                bad.append(f"{kind}#{i}: max degree at v broken")
-            if any(out.degree(u) > g.degree(u) for u in range(g.n) if u != v):
-                bad.append(f"{kind}#{i}: non-v degree increased")
-            pat = patterns.BroomPattern(ell, s)
-            if patterns.is_free(g, pat) is True:
-                if patterns.is_free(out, pat) is not True:
-                    bad.append(f"{kind}#{i}: freeness lost")
-    report(5, "rewrite suite (100 instances per kind: strict e_p increase "
-              "p=2..4, freeness preserved, max degree kept at v)", bad)
+    report_check(5, "rewrite suite (100 instances per kind: strict e_p increase "
+                    "p=2..4, freeness preserved, max degree kept at v, no other "
+                    "vertex gains degree)",
+                 verify.check_rewrites({"rewrites.per_kind": 100}),
+                 "500 instances, 0 failures")
 
 
 # ---------------------------------------------------------------------
@@ -382,21 +229,9 @@ def test_criterion_5_rewrite_suite():
 # ---------------------------------------------------------------------
 
 def test_criterion_6_e4_counterexample():
-    bad = []
-    unbalanced = ep_of([51] * 49 + [49] * 51, 4)
-    balanced = formulas.exp_turan_clique(100, 2, 4).value
-    if unbalanced != 625_499_700:
-        bad.append(f"unbalanced e_4 = {unbalanced}")
-    if balanced != 625_000_000:
-        bad.append(f"T_2(100) e_4 = {balanced}")
-    if not unbalanced > balanced:
-        bad.append("counterexample inequality failed")
-    # same shape inside the cap, via real graphs
-    g = families.unbalanced_bipartite(20)
-    if ep_value(g, 4) <= ep_value(families.turan_graph(20, 2), 4):
-        bad.append("n=20 sanity inequality failed")
-    report(6, "e_4 counterexample at n=100: 625,499,700 > 625,000,000, exact",
-           bad)
+    report_check(6, "e_4 counterexample at n=100: 625,499,700 > 625,000,000, exact",
+                 verify.check_e4({}),
+                 "2 instances, unbalanced e_4 = 625499700, Turan graph e_4 = 625000000")
 
 
 # ---------------------------------------------------------------------

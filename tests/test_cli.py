@@ -279,6 +279,9 @@ def test_rewrite_demo(capsys):
 def test_rewrite_requires_demo(capsys):
     code, _, err = run(capsys, "rewrite", "--kind", "edge")
     assert code == 2
+    # the shape gate names the one parameter below its least
+    code, out, err = run(capsys, "rewrite", "--kind", "edge", "--ell", "4", "--demo")
+    assert (code, out, err) == (1, "", "error: need ell >= 5\n")
 
 
 def test_formula_resolve_base(capsys):
@@ -382,18 +385,18 @@ def test_verify_missing_config_file(tmp_path, capsys):
 # fails here
 @pytest.mark.parametrize("config, want", [
     # n_max = 8 is below most patterns' orders: each runs at its own order
-    ("freeness.n_max = 8", {"freeness": 171}),
+    ("freeness.n_max = 8", {"freeness": 180}),
     ("consistency.n_max = 13\nconsistency.p_max = 2\nconsistency.big_n = 64\n"
-     "freeness.n_max = 24", {"consistency": 1002, "freeness": 1310}),
+     "freeness.n_max = 24", {"consistency": 1138, "freeness": 1364}),
     # p_max = 0 still compares each host's edge count (p = 1) once per n
-    ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 1231, "freeness": 70}),
+    ("consistency.p_max = 0\nfreeness.n_max = 0", {"consistency": 1320, "freeness": 73}),
     ("consistency.n_max = 40\nfreeness.n_max = 30",
-     {"consistency": 7886, "freeness": 1745}),
-    ("oracle.n_max = 2", {"oracle": 7}),
-    ("oracle.n_max = 5", {"oracle": 30}),
-    ("oracle.n_max = 9", {"oracle": 66}),
+     {"consistency": 8806, "freeness": 1817}),
+    ("oracle.n_max = 2", {"oracle": 19}),
+    ("oracle.n_max = 5", {"oracle": 79}),
+    ("oracle.n_max = 9", {"oracle": 172}),
 ], ids=["freeness8", "narrow", "p0", "wide", "oracle2", "oracle5", "oracle9"])
-def test_verify_freeness_below_sample_orders(tmp_path, capsys, config, want):
+def test_verify_instance_counts_at_other_configs(tmp_path, capsys, config, want):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(config + "\n")
     code, out, _ = run(capsys, "verify", "--config", str(cfg),
@@ -432,13 +435,16 @@ def test_verify_rewrites_needs_site_discovery(monkeypatch, capsys):
 @pytest.mark.parametrize("alter, want", [
     # every instance compares the oracle's maximum with the closed form
     (lambda rep: dataclasses.replace(rep, max_value=rep.max_value + 1),
-     "39 instances, 39 disagreements; first: "
-     "path:3 n=2 p=2: oracle 3 (formula 2), unique=True"),
-    # the P_3 and 2S_1 rows also need one maximizer
+     "102 instances, 102 disagreements; first: "
+     "path:3 n=2 p=2: oracle 3 (formula 2), unique=True, maximizers ['A_'] (host A_)"),
+    # the P_3 and 2S_1 rows also need one maximizer, the extremal host's class
     (lambda rep: dataclasses.replace(rep, unique=False),
-     "39 instances, 12 disagreements; first: "
-     "path:3 n=2 p=2: oracle 2 (formula 2), unique=False"),
-], ids=["off_by_one", "not_unique"])
+     "102 instances, 12 disagreements; first: "
+     "path:3 n=2 p=2: oracle 2 (formula 2), unique=False, maximizers ['A_'] (host A_)"),
+    (lambda rep: dataclasses.replace(rep, maximizers=(("A?", "00"),)),
+     "102 instances, 12 disagreements; first: "
+     "path:3 n=2 p=2: oracle 2 (formula 2), unique=True, maximizers ['A?'] (host A_)"),
+], ids=["off_by_one", "not_unique", "other_maximizer"])
 def test_verify_oracle_needs_the_oracle(monkeypatch, capsys, alter, want):
     max_ep = turanp.oracle.max_ep
     monkeypatch.setattr(turanp.oracle, "max_ep",
@@ -454,9 +460,9 @@ def test_verify_default_suite(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 0 and err == ""
     assert out.splitlines() == [
-        '{"check": "consistency", "detail": "5740 instances, 0 mismatches", "pass": true}',
-        '{"check": "freeness", "detail": "874 instances, 0 failures", "pass": true}',
-        '{"check": "oracle", "detail": "39 instances, 0 disagreements", "pass": true}',
+        '{"check": "consistency", "detail": "6420 instances, 0 mismatches", "pass": true}',
+        '{"check": "freeness", "detail": "910 instances, 0 failures", "pass": true}',
+        '{"check": "oracle", "detail": "102 instances, 0 disagreements", "pass": true}',
         '{"check": "lemmas", "detail": "1452 instances, 0 failed instances", "pass": true}',
         '{"check": "rewrites", "detail": "50 instances, 0 failures", "pass": true}',
         '{"check": "e4", "detail": "2 instances, unbalanced e_4 = 625499700, '

@@ -1,4 +1,6 @@
 """Closed forms: frozen values, windows, construction consistency, lemmas."""
+from random import Random
+
 import pytest
 
 from turanp.families import (
@@ -57,6 +59,7 @@ from turanp.patterns import (
     is_free,
     parse_pattern,
 )
+from turanp.rewrites import apply_rewrite, demo_instance
 
 
 # ---------------------------------------------------------------------
@@ -75,6 +78,10 @@ def test_eg_bound():
     assert eg_bound(9, 4) == 9
     assert eg_bound(10, 5) == 15
     assert eg_bound(17, 2) == 0
+    # sharp where ell - 1 divides n: the cliques K_{ell-1} reach it
+    for ell in range(3, 8):
+        for n in range(0, 61, ell - 1):
+            assert eg_bound(n, ell) == ex_path(n, ell).value, (n, ell)
 
 
 def test_ex_linear_forest():
@@ -167,12 +174,19 @@ def test_exp_star():
     assert exp_star(3, 5, 2).value == 12
     assert exp_star(5, 1, 3).value == 0
     assert exp_star(9, 4, 2).in_window
+    # S_2 = P_3: e_p of M_n counts its matched vertices at every p, n or n - 1
+    for n in range(2, 10):
+        for p in (2, 3):
+            assert exp_star(n, 2, p).value == (n if n % 2 == 0 else n - 1)
 
 
 def test_exp_star_forest():
     assert exp_star_forest(9, [2, 2], 2).value == 96
     assert exp_star_forest(8, [3, 3], 2).value == 112
     assert exp_star_forest(8, [2, 2], 2).value == 74
+    # 2S_1: e_2 of the star S_{n-1}
+    for n in range(5, 10):
+        assert exp_star_forest(n, [1, 1], 2).value == (n - 1) ** 2 + (n - 1)
     with pytest.raises(ValueError):
         exp_star_forest(9, [3], 2)
 
@@ -313,6 +327,8 @@ def test_every_power_goes_through_check_power(name):
     call(least)
 
 
+_EDGE_DEMO = demo_instance("edge", 5, 0, Random(0))
+
 # every (function, shape parameter): value -> a call, the name, its least
 SHAPE_USERS = {
     "ex_path:ell": (lambda v: ex_path(20, v), "ell", 2),
@@ -376,6 +392,12 @@ SHAPE_USERS = {
     "clique_union:a": (lambda v: clique_union(v, 3, 1), "a", 0),
     "clique_union:clique": (lambda v: clique_union(2, v, 1), "clique", 1),
     "clique_union:b": (lambda v: clique_union(2, 3, v), "b", 0),
+    # and the rewrites (apply_rewrite(g, v, site, 7.5, 0) returned a graph,
+    # and demo_instance("edge", 7, True, rng) read True as s = 1)
+    "apply_rewrite:ell": (lambda v: apply_rewrite(*_EDGE_DEMO, v, 0), "ell", 5),
+    "apply_rewrite:s": (lambda v: apply_rewrite(*_EDGE_DEMO, 5, v), "s", 0),
+    "demo_instance:ell": (lambda v: demo_instance("edge", v, 0, Random(0)), "ell", 5),
+    "demo_instance:s": (lambda v: demo_instance("edge", 5, v, Random(0)), "s", 0),
 }
 
 

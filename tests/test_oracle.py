@@ -631,7 +631,8 @@ def test_extensions_keep_exactly_the_free_masks(spec):
                 held += 1
         counts = _Counts()
         assert list(_extensions(bases, k, matcher, counts)) == free, k
-        assert (counts.visited, counts.pruned) == (len(free) + held, held), k
+        assert (counts.visited, counts.heredity + counts.matcher) == (
+            len(free) + held, held), k
 
 
 def test_extensions_keep_one_mask_per_twin_orbit():
@@ -650,7 +651,7 @@ def test_extensions_keep_one_mask_per_twin_orbit():
             want += prod(cls.count(c) + 1 for c in set(cls))
         counts = _Counts()
         assert sum(1 for _ in _extensions(bases, k, None, counts)) == want, k
-        assert counts.visited == want and counts.pruned == 0
+        assert (counts.visited, counts.heredity, counts.matcher) == (want, 0, 0)
 
 
 def twin_ordered_by_scan(base):
