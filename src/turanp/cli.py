@@ -58,10 +58,11 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _parse_range(text: str, what: str) -> range:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad {what} range {text!r} (use a:b)")
-    lo, hi = int(lo), int(hi)
+    lo, _, hi = text.partition(":")  # no colon leaves hi empty
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError as exc:
+        raise ValueError(f"bad {what} range {text!r} (use a:b)") from exc
     if lo > hi:
         raise ValueError(f"empty {what} range {text!r} (need a <= b)")
     return range(lo, hi + 1)

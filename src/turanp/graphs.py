@@ -299,6 +299,18 @@ def canonical_code(g: Graph) -> bytes:
     thus the node's words sorted with multiplicity, s_0 <= s_1 <= ..., and
     column d + k is at least s_k << k.
 
+    The first cell C_0 gives a sharper bound.  Words keep their order, so
+    in every leaf below the node C_0 fills columns d .. d + |C_0| - 1, and
+    column d + k is s_0 << k with the adjacency of its vertex to the k
+    vertices of C_0 placed before it appended.  Let alpha be the
+    independence number of G[C_0], with alpha < |C_0|.  If columns d ..
+    d + alpha - 1 append only zeros, their vertices are independent, so
+    they are a maximum independent set of G[C_0]; the next vertex of C_0
+    is adjacent to one of them, and column d + alpha is at least
+    s_0 << alpha | 1.  Otherwise one of those columns already exceeds its
+    bound s_0 << k.  Either way the bounds, with column d + alpha raised,
+    are still lexicographically no larger than the leaf's columns.
+
     Children are searched fewest unplaced neighbours first, which tends to
     reach a small code early.  The order changes which subtrees are cut but
     not the result, because a subtree is cut only when none of its leaves
@@ -334,6 +346,7 @@ def canonical_code(g: Graph) -> bytes:
     last = n - 1
     path = [0] * n  # code word per column on the current ordering
     best: list[int] = []
+    alphas: dict[int, int] = {}  # independence number per first-cell mask
     stack: list[tuple[int, list[tuple[int, int]], int, int, bool]] = []
     full = (1 << n) - 1
     depth, cells, rest, tight = 0, [(0, full)], full, False
@@ -399,7 +412,7 @@ def canonical_code(g: Graph) -> bytes:
                 if hi:
                     split.append((w << 1 | 1, hi))
             cells = split
-            if tight and _bound_cuts(cells, best, depth):
+            if tight and _bound_cuts(cells, best, depth, rows, alphas):
                 continue
             break
         else:
@@ -412,25 +425,49 @@ def canonical_code(g: Graph) -> bytes:
     return bytes([n]) + (code << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
 
 
-def _bound_cuts(cells: list[tuple[int, int]], best: list[int], depth: int) -> bool:
+def _bound_cuts(cells: list[tuple[int, int]], best: list[int], depth: int,
+                rows: Sequence[int], alphas: dict[int, int]) -> bool:
     """Whether no leaf below a tight node at ``depth`` can beat ``best``.
 
     Column depth + k of every leaf is at least s_k << k, s the node's words
-    sorted with multiplicity (see ``canonical_code``).  Compared column by
+    sorted with multiplicity, and column depth + alpha at least
+    s_0 << alpha | 1 when the first cell has independence number
+    alpha below its size (see ``canonical_code``).  Compared column by
     column: a greater bound makes every leaf larger, a smaller one decides
     nothing, and an equal one passes to the next column.  If every column
     is equal, every leaf is at least ``best``.
     """
+    first = cells[0][1]
+    alpha = _independence(rows, first, alphas)
+    raised = depth + alpha if alpha < first.bit_count() else None
     c = depth
     for w, mask in cells:
         for _ in range(mask.bit_count()):
-            bound = w << (c - depth)
+            bound = w << (c - depth) | (c == raised)
             if bound > best[c]:
                 return True
             if bound < best[c]:
                 return False
             c += 1
     return True
+
+
+def _independence(rows: Sequence[int], mask: int, memo: dict[int, int]) -> int:
+    """The independence number of the subgraph induced on ``mask``.  A
+    maximum independent set holds the lowest vertex v and none of its
+    neighbours, or leaves v out; if v has no neighbour in ``mask``, some
+    maximum set holds it.  ``memo`` maps the masks solved to their answers."""
+    if not mask:
+        return 0
+    alpha = memo.get(mask)
+    if alpha is None:
+        low = mask & -mask
+        row = rows[low.bit_length() - 1] & mask
+        alpha = 1 + _independence(rows, (mask ^ low) & ~row, memo)
+        if row:
+            alpha = max(alpha, _independence(rows, mask ^ low, memo))
+        memo[mask] = alpha
+    return alpha
 
 
 def graph_from_code(code: bytes) -> Graph:

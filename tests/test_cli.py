@@ -187,6 +187,20 @@ def test_oracle_empty_ranges_are_errors(capsys):
         assert "empty" in err
 
 
+def test_oracle_malformed_ranges_are_errors(capsys):
+    # a range that is not two integers around one colon names the range,
+    # not int()'s message
+    for n_range in ("x:3", "3:", "2:3:4", "3"):
+        code, out, err = run(capsys, "oracle", "--pattern", "path:3",
+                             "--n-range", n_range, "--p-range", "2:2")
+        assert code == 1 and out == ""
+        assert err == f"error: bad n range '{n_range}' (use a:b)\n"
+    code, out, err = run(capsys, "oracle", "--pattern", "path:3",
+                         "--n-range", "3:4", "--p-range", "2:x")
+    assert code == 1 and out == ""
+    assert err == "error: bad p range '2:x' (use a:b)\n"
+
+
 def test_oracle_single_query_g6(capsys):
     # the P_4-free graphs on 5 vertices with the most edges: K_{1,4} and
     # the disjoint union of K_3 and K_2

@@ -1,5 +1,6 @@
 """Graph core: degree powers, dominance, union/join, canonical codes, graph6."""
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -24,6 +25,7 @@ from turanp.graphs import (
     join,
     _ROWS,
     _TRANSPOSE,
+    _independence,
     _spread_stages,
     _transpose,
     _transpose_masks,
@@ -506,6 +508,59 @@ def test_canonical_code_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_independence_matches_brute_force():
+    # the first cell's bound rests on _independence: every vertex mask of
+    # every class on up to 6 vertices, against the largest independent
+    # subset of the mask
+    for n in range(7):
+        for g in nonisomorphic_graphs(n):
+            independent = [s for s in range(1 << n)
+                           if all(not g.rows[v] & s for v in iter_bits(s))]
+            for mask in range(1 << n):
+                expected = max(s.bit_count() for s in independent if s & ~mask == 0)
+                assert _independence(g.rows, mask, {}) == expected, (g6_encode(g), mask)
+
+
+def test_independence_bound_is_exercised(monkeypatch):
+    # the sparse n = 10 graphs of the census tail are where the first
+    # cell's bound cuts: it is raised there (a cell's independence number
+    # below its size), and every code stays the reference's
+    raised = []
+
+    def counted(rows, mask, memo):
+        alpha = _independence(rows, mask, memo)
+        raised.append(alpha < mask.bit_count())
+        return alpha
+
+    monkeypatch.setattr("turanp.graphs._independence", counted)
+    rng = random.Random(2036)
+    pairs = [(i, j) for j in range(10) for i in range(j)]
+    battery = [g6_decode("IApA_GOOG")]
+    battery += [Graph.from_edges(10, rng.sample(pairs, 9 + k % 6)) for k in range(120)]
+    for g in battery:
+        assert canonical_code(g) == _reference_canonical_code(g), g6_encode(g)
+    assert any(raised)
+
+
+def test_canonical_code_bytes_are_pinned():
+    # one sha256 over the codes of every class on up to 8 vertices and of
+    # 2,000 sparse graphs on 9-10 vertices, each seeded: a faster search
+    # must spell the same bytes.  The pin predates the first cell's
+    # independence bound in _bound_cuts, so it checks that bound too
+    rng = random.Random(36)
+    battery = [relabelled(g, rng) for n in range(9) for g in nonisomorphic_graphs(n)]
+    for k in range(2000):
+        n = 9 + k % 2
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        battery.append(Graph.from_edges(n, rng.sample(pairs, 9 + k % 12)))
+    assert len(battery) == 15599
+    digest = hashlib.sha256()
+    for g in battery:
+        digest.update(canonical_code(g))
+    assert digest.hexdigest() == ("ee8d8b551979a04cdc779a56d60ca60e"
+                                  "86164ec09d7875d5bf628d746b855528")
 
 
 def test_graph_from_code_round_trips():
